@@ -57,6 +57,11 @@ class BlockWorld:
             GRASP if a < self.n_cells else PLACE if a < 2 * self.n_cells else PUSH
             for a in range(self.n_actions)
         )
+        # (type, cell, direction) per action id, direction -1 for non-pushes.
+        self._decoded = tuple(
+            (atype, cell, -1 if direction is None else direction)
+            for atype, cell, direction in map(self.decode, range(self.n_actions))
+        )
 
         self.stacks: list[list[int]] = [[] for _ in range(self.n_cells)]
         self.gripper: Optional[int] = None
@@ -239,6 +244,25 @@ class BlockWorld:
     def mask(self) -> list[bool]:
         return self.mask_for(self.state())
 
+    # -- features ---------------------------------------------------------
+
+    def features(self, state: BlockState) -> list[tuple]:
+        """Joint indicator feature of every action at ``state``, by action id.
+
+        Collapses (state, action) to: action type, whether holding, tallest
+        stack height, target-cell height, the target's relation to the
+        tallest stack, and the push direction (-1 for grasp and place) —
+        the signature that decides whether an action builds toward the goal
+        or reverses it, independent of which cell it is. The tallest height
+        and each cell's relation are worked out once per state.
+        """
+        held, heights = state
+        max_h = max(heights)
+        top = "lone_max" if heights.count(max_h) == 1 else "tied_max"
+        rel = ["empty" if h == 0 else top if h == max_h else "below" for h in heights]
+        return [((atype, held, max_h, heights[cell], rel[cell], direction),)
+                for atype, cell, direction in self._decoded]
+
     # -- metrics ----------------------------------------------------------
 
     def ideal_actions(self) -> int:
@@ -287,21 +311,5 @@ class BlockWorld:
 
 
 def feature_key(state: BlockState, action: int, env: BlockWorld) -> tuple:
-    """Joint indicator feature shared across cells with the same local shape.
-
-    Collapses (state, action) to: action type, whether holding, tallest
-    stack height, target-cell height, and the target's relation to the
-    tallest stack — the signature that decides whether an action builds
-    toward the goal or reverses it, independent of which cell it is.
-    """
-    held, heights = state
-    atype, cell, direction = env.decode(action)
-    max_h = max(heights)
-    tgt_h = heights[cell]
-    if tgt_h == 0:
-        rel = "empty"
-    elif tgt_h == max_h:
-        rel = "lone_max" if heights.count(max_h) == 1 else "tied_max"
-    else:
-        rel = "below"
-    return ((atype, held, max_h, tgt_h, rel, -1 if direction is None else direction),)
+    """The features of one action: ``env.features(state)[action]``."""
+    return env.features(state)[action]

@@ -37,12 +37,11 @@ import os
 import random
 import traceback
 from dataclasses import dataclass, field, fields as dataclass_fields
-from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Optional
 
-from .envs.blockworld import TASKS, BlockWorld, feature_key
+from .envs.blockworld import TASKS, BlockWorld
 from .envs.gridworld import GridWorld
 from .qfunction import LinearQ, QFunction, TabularQ, dump_qfunction, parse_qdump
 from .rewards import REWARD_KINDS, ConfigError, RewardConfig
@@ -307,7 +306,7 @@ class RunConfig:
         env = self.make_env()
         if self.environment == "gridworld":
             return TabularQ(env.n_actions)
-        return LinearQ(env.n_actions, featurize=partial(feature_key, env=env))
+        return block_q(env)
 
     def flat_items(self) -> list[tuple[str, str]]:
         """The config as sorted flat key=value pairs (round-trips through
@@ -516,19 +515,23 @@ def qdump_header(rc: RunConfig) -> dict[str, str]:
     }
 
 
+def block_q(env: BlockWorld) -> LinearQ:
+    """The block world's Q-function: linear over ``env.features``."""
+    return LinearQ(env.n_actions, env.features)
+
+
 def load_qdump(path: Path) -> tuple[QFunction, dict[str, str]]:
     """Rebuild a Q-function (and its header fields) from a qtable.txt."""
     fields, rows = parse_qdump(path.read_text())
-    n_actions = int(fields["n_actions"])
     if fields.get("kind") == "linear":
         env = BlockWorld(
             task=fields.get("task", "stack"),
             goal_size=int(fields.get("goal_size", 4)),
             num_blocks=int(fields.get("num_blocks", 4)),
         )
-        q: QFunction = LinearQ(n_actions, featurize=partial(feature_key, env=env))
+        q: QFunction = block_q(env)
     else:
-        q = TabularQ(n_actions)
+        q = TabularQ(int(fields["n_actions"]))
     q.load_records(rows)
     return q, fields
 

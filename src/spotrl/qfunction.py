@@ -5,8 +5,14 @@ Two implementations share the interface:
 - :class:`TabularQ` — exact table over hashable states, the default for the
   grid world's pose states and for tiny test MDPs.
 - :class:`LinearQ` — linear value over indicator features produced by an
-  injected featurizer, for the block world where the exact occupancy space
-  is too sparse to visit.
+  injected per-state featurizer, for the block world where the exact
+  occupancy space is too sparse to visit.
+
+Reads come in two shapes: ``value(state, a)`` is one entry, and
+``row(state)`` is the list of every action's value at ``state``, each entry
+bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
+(greedy picks, ``best_value``, the SPOT-Q recomputation) reads one row, so a
+state is looked up or featurized once per scan rather than once per action.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``.
 Snapshots are read-only copies, safe to hand to concurrent readers.
@@ -14,7 +20,7 @@ Snapshots are read-only copies, safe to hand to concurrent readers.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 
 class FrozenQError(RuntimeError):
@@ -22,11 +28,15 @@ class FrozenQError(RuntimeError):
 
 
 class QFunction:
-    """Interface: value / update / snapshot plus text serialization."""
+    """Interface: value / row / update / snapshot plus text serialization."""
 
     n_actions: int
 
     def value(self, state: Hashable, action_id: int) -> float:
+        raise NotImplementedError
+
+    def row(self, state: Hashable) -> list[float]:
+        """[Q(state, a) for every action a], equal to value() entry by entry."""
         raise NotImplementedError
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
@@ -37,7 +47,7 @@ class QFunction:
 
     def best_value(self, state: Hashable) -> float:
         """max_a Q(state, a) over the full action set."""
-        return max(self.value(state, a) for a in range(self.n_actions))
+        return max(self.row(state))
 
     def records(self) -> list[tuple[str, int, float]]:
         """Sorted (key, action, value) text records for diff-able dumps."""
@@ -57,6 +67,11 @@ class TabularQ(QFunction):
 
     def value(self, state: Hashable, action_id: int) -> float:
         return self._table.get((state, action_id), self.initial)
+
+    def row(self, state: Hashable) -> list[float]:
+        get = self._table.get
+        initial = self.initial
+        return [get((state, a), initial) for a in range(self.n_actions)]
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
         if self._frozen:
@@ -83,14 +98,19 @@ class TabularQ(QFunction):
             self._table[(ast.literal_eval(key), int(action))] = value
 
 
-Featurizer = Callable[[Hashable, int], tuple[Hashable, ...]]
+# state -> one tuple of hashable feature keys per action id.
+Featurizer = Callable[[Hashable], Sequence[tuple[Hashable, ...]]]
 
 
 class LinearQ(QFunction):
     """Q(state, action) = mean of weights of the active indicator features.
 
-    The featurizer maps (state, action_id) to a tuple of hashable feature
-    keys; each key owns one weight. With a single joint feature this behaves
+    The featurizer maps a state to the feature tuples of all its actions at
+    once, indexed by action id; each feature key owns one weight. It must be
+    pure (the same state always gives the same features), because the
+    features of the most recently featurized state are kept and reused
+    while the state repeats; weights are never cached, so reads always see
+    the latest update. With a single joint feature per action this behaves
     exactly like a table over the feature space, which is how the block
     world uses it (the feature key abstracts away block-interchangeable
     detail). Unseen weights read 0.
@@ -103,23 +123,51 @@ class LinearQ(QFunction):
         self.featurize = featurize
         self._weights: dict[Hashable, float] = {}
         self._frozen = _frozen
+        # (state, its features, lone keys) of the last featurized state, where
+        # lone keys lists each action's only feature when every action has
+        # exactly one, else None. Swapped in one assignment, so a reader never
+        # pairs one state with another state's features.
+        self._memo: Optional[tuple[Hashable, Sequence[tuple[Hashable, ...]],
+                                   Optional[list[Hashable]]]] = None
+
+    def _featurized(self, state: Hashable):
+        memo = self._memo
+        if memo is None or memo[0] != state:
+            feats = self.featurize(state)
+            lone = [f[0] for f in feats] if set(map(len, feats)) == {1} else None
+            memo = self._memo = (state, feats, lone)
+        return memo
+
+    def _features(self, state: Hashable) -> Sequence[tuple[Hashable, ...]]:
+        return self._featurized(state)[1]
 
     def value(self, state: Hashable, action_id: int) -> float:
-        feats = self.featurize(state, action_id)
+        feats = self._features(state)[action_id]
         if not feats:
             return 0.0
         return sum(self._weights.get(f, 0.0) for f in feats) / len(feats)
 
+    def row(self, state: Hashable) -> list[float]:
+        _, feats, lone = self._featurized(state)
+        get = self._weights.get
+        if lone is not None:
+            # A one-feature mean sum((w,)) / 1 is 0 + w: the same float as
+            # value() computes, -0.0 weights included, at a ninth of the cost
+            # of the general mean below.
+            return [0.0 + get(k, 0.0) for k in lone]
+        return [sum(get(f, 0.0) for f in fs) / len(fs) if fs else 0.0 for fs in feats]
+
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
         if self._frozen:
             raise FrozenQError("snapshot Q-functions are read-only")
-        feats = self.featurize(state, action_id)
+        feats = self._features(state)[action_id]
         if not feats:
             return
-        error = target - self.value(state, action_id)
+        weights = self._weights
+        error = target - sum(weights.get(f, 0.0) for f in feats) / len(feats)
         step = lr * error / len(feats)
         for f in feats:
-            self._weights[f] = self._weights.get(f, 0.0) + step
+            weights[f] = weights.get(f, 0.0) + step
 
     def snapshot(self) -> "LinearQ":
         copy = LinearQ(self.n_actions, self.featurize, _frozen=True)

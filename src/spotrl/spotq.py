@@ -27,6 +27,10 @@ class EmptyActionSpaceError(RuntimeError):
     """Every action is masked in a state that still requires one."""
 
 
+class DisallowedActionError(RuntimeError):
+    """A masked policy picked an action its mask disallows."""
+
+
 @dataclass(frozen=True)
 class SpotQTargets:
     """Targets for one replayed transition.
@@ -54,12 +58,13 @@ def masked_argmax(q: QFunction, state: Hashable, mask: ActionMask, tie_rng: rand
     The tie draw consumes randomness only when there really is a tie, so
     deterministic replays are unaffected by states with a unique maximizer.
     """
+    values = q.row(state)
     best_value = None
     tied: list[int] = []
     for a, ok in enumerate(mask):
         if not ok:
             continue
-        v = q.value(state, a)
+        v = values[a]
         if best_value is None or v > best_value:
             best_value = v
             tied = [a]

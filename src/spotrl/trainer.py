@@ -131,15 +131,23 @@ def masked_policy_flag(q: QFunction, state, mask: list) -> bool:
     every allowed one. Draw-free, for logging only."""
     best_allowed = None
     best_disallowed = None
-    for a, ok in enumerate(mask):
-        v = q.value(state, a)
+    for v, ok in zip(q.row(state), mask):
         if ok:
-            best_allowed = v if best_allowed is None else max(best_allowed, v)
-        else:
-            best_disallowed = v if best_disallowed is None else max(best_disallowed, v)
+            if best_allowed is None or v > best_allowed:
+                best_allowed = v
+        elif best_disallowed is None or v > best_disallowed:
+            best_disallowed = v
     if best_allowed is None or best_disallowed is None:
         return False
     return best_disallowed > best_allowed
+
+
+def check_allowed(mask: list, action: int) -> None:
+    """Raise if a masked policy picked a disallowed action; unlike an
+    assert, the check survives ``python -O``."""
+    if not mask[action]:
+        raise spotq.DisallowedActionError(
+            f"masked policy executed disallowed action {action}")
 
 
 def run_validation(q, env_factory, cfg: AgentConfig, round_index: int) -> int:
@@ -166,7 +174,7 @@ def run_greedy_trial(q, env, use_mask: bool, rng: random.Random) -> TrialRecord:
         mask = env.mask_for(state) if use_mask else [True] * env.n_actions
         action = masked_argmax(q, state, mask, rng)
         if use_mask:
-            assert mask[action], "masked policy executed a disallowed action"
+            check_allowed(mask, action)
         state, outcome, event = step_env(env, action)
         steps += 1
         attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
@@ -239,7 +247,7 @@ def run_training(
             mask = env.mask_for(state) if cfg.use_mask else None
             action = select_action(q, state, mask, epsilon, action_rng, tie_rng, env.n_actions)
             if mask is not None:
-                assert mask[action], "masked policy executed a disallowed action"
+                check_allowed(mask, action)
             masked_flag = masked_policy_flag(q, state, mask) if mask is not None else False
             predicted = q.value(state, action)
             next_state, outcome, event = step_env(env, action)

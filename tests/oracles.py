@@ -557,3 +557,30 @@ def mirror_chain_learner(*, seed, budget, length=3, action_limit=12,
             pos = nxt
         trial_id += 1
     return q
+
+
+# ---------------------------------------------------------------------------
+# Block-world feature oracle (one action at a time)
+# ---------------------------------------------------------------------------
+
+
+def block_feature_key(state, action, n_cells):
+    """The block world's joint feature of one (state, action), derived for
+    that action alone: its own decode of the action id and its own scan of
+    the heights for the tallest stack and ties."""
+    held, heights = state
+    if action < n_cells:
+        atype, cell, direction = "grasp", action, -1
+    elif action < 2 * n_cells:
+        atype, cell, direction = "place", action - n_cells, -1
+    else:
+        atype, cell, direction = "push", (action - 2 * n_cells) // 4, (action - 2 * n_cells) % 4
+    max_h = max(heights)
+    tgt_h = heights[cell]
+    if tgt_h == 0:
+        rel = "empty"
+    elif tgt_h == max_h:
+        rel = "lone_max" if heights.count(max_h) == 1 else "tied_max"
+    else:
+        rel = "below"
+    return ((atype, held, max_h, tgt_h, rel, direction),)

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from spotrl.envs.blockworld import BlockWorld, feature_key
+from spotrl.envs.blockworld import TASKS, BlockWorld, feature_key
+from spotrl.harness import block_q
 
 from oracles import (
     ScriptedRandom,
+    block_feature_key,
     shortest_stack_plan_length,
     task_done,
 )
@@ -430,3 +433,66 @@ def test_feature_key_collapses_interchangeable_cells():
     held = (1, tall[1])
     assert feature_key(held, 16, env) != feature_key(tall, 16, env)
     assert feature_key(tall, 32, env) != feature_key(tall, 33, env)  # direction
+
+
+def walk_states(task, seed, steps):
+    """States met on a seeded random walk over allowed actions; a finished
+    trial resets to a fresh layout."""
+    env = BlockWorld(task=task)
+    rng = random.Random(seed)
+    state = env.reset(seed)
+    states = [state]
+    for _ in range(steps):
+        if env.terminal:
+            state = env.reset(rng.randrange(1 << 30))
+        else:
+            allowed = [a for a, ok in enumerate(env.mask_for(state)) if ok]
+            state, _ = env.step(rng.choice(allowed))
+        states.append(state)
+    return env, states
+
+
+def feature_cases(states):
+    """(held, target relation) pairs the states' features exercise."""
+    env = BlockWorld()
+    return {(held, feats[0][4]) for held, heights in states
+            for feats in env.features((held, heights))}
+
+
+WALKS = dict(task=st.sampled_from(TASKS), seed=st.integers(0, 2**16),
+             steps=st.integers(0, 60))
+
+
+@given(**WALKS)
+def test_features_match_the_per_action_oracle(task, seed, steps):
+    """The per-state featurizer gives every action exactly the feature the
+    one-action-at-a-time derivation gives it."""
+    env, states = walk_states(task, seed, steps)
+    for state in states:
+        assert env.features(state) == [block_feature_key(state, a, env.n_cells)
+                                       for a in range(env.n_actions)]
+
+
+def test_walks_cover_every_feature_case():
+    """The random walks above reach held and free grippers with empty,
+    below-max, lone-max and tied-max target cells."""
+    states = [s for seed in range(10) for task in TASKS
+              for s in walk_states(task, seed, 60)[1]]
+    rels = ("empty", "below", "lone_max", "tied_max")
+    assert feature_cases(states) == {(held, rel) for held in (0, 1) for rel in rels}
+
+
+@given(**WALKS, data=st.data())
+def test_block_q_row_matches_value_bitwise(task, seed, steps, data):
+    """After updates on visited states, and with some weights loaded as
+    -0.0, each row entry is the very float value() returns."""
+    env, states = walk_states(task, seed, steps)
+    q = block_q(env)
+    for state in states:
+        action = data.draw(st.integers(0, env.n_actions - 1))
+        q.update(state, action, data.draw(st.floats(-4, 4)), data.draw(st.floats(0, 1)))
+    for feats in data.draw(st.lists(st.sampled_from(env.features(states[-1])), max_size=5)):
+        q.load_records([(repr(feats[0]), -1, -0.0)])
+    for state in states:
+        assert [repr(v) for v in q.row(state)] == \
+            [repr(q.value(state, a)) for a in range(env.n_actions)]

@@ -1,6 +1,7 @@
 """Q-function backends: tabular, linear-over-features, and text dumps."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spotrl.qfunction import (
     FrozenQError,
@@ -11,13 +12,27 @@ from spotrl.qfunction import (
 )
 
 
-def pair_features(state, action_id):
+def pair_features(state):
     """Two-feature featurizer used to exercise weight averaging."""
-    return (("bias", action_id), ("state", state, action_id))
+    return [(("bias", a), ("state", state, a)) for a in range(2)]
 
 
-def joint_feature(state, action_id):
-    return ((state, action_id),)
+def joint_feature(state):
+    return [((state, a),) for a in range(2)]
+
+
+def mixed_features(state):
+    """Zero, one, two and three features per action, some shared."""
+    return [(), (("bias",),), (("bias",), ("state", state)),
+            (("bias",), ("state", state), ("third", state))]
+
+
+def lone_features(state):
+    """One feature per action, some shared, except that state "u" has the
+    mixed shape, so one LinearQ reads rows both ways."""
+    if state == "u":
+        return mixed_features(state)
+    return [(("bias",),), (("state", state),), (("state", state),), (("act", state),)]
 
 
 # -- tabular ----------------------------------------------------------------
@@ -93,7 +108,7 @@ def test_linear_with_joint_feature_matches_tabular():
 
 
 def test_linear_empty_feature_set_is_inert():
-    q = LinearQ(2, lambda s, a: ())
+    q = LinearQ(2, lambda s: [(), ()])
     q.update("s", 0, 5.0, 1.0)
     assert q.value("s", 0) == 0.0
     assert len(q) == 0
@@ -112,6 +127,68 @@ def test_linear_records_use_feature_keys():
     q = LinearQ(2, joint_feature)
     q.update("s", 1, 0.5, 1.0)
     assert q.records() == [("('s', 1)", -1, 0.5)]
+
+
+def test_linear_reuses_features_only_while_the_state_repeats():
+    """Featurizing is skipped for a repeated state, never the weights: reads
+    after an update, or for another state, are fresh."""
+    seen = []
+
+    def featurize(state):
+        seen.append(state)
+        return joint_feature(state)
+
+    q = LinearQ(2, featurize)
+    assert q.row("s") == [0.0, 0.0]
+    q.update("s", 1, 1.0, 0.5)
+    assert q.row("s") == [0.0, 0.5]
+    assert q.value("s", 1) == 0.5
+    assert q.row("t") == [0.0, 0.0]
+    q.update("t", 0, -1.0, 1.0)
+    assert q.value("t", 0) == -1.0
+    assert q.row("s") == [0.0, 0.5]
+    assert seen == ["s", "t", "s"]
+
+
+# -- rows -------------------------------------------------------------------
+
+STATES = ("s", "t", "u")
+
+
+def negative_zero_tabular(q, state, action):
+    q.load_records([(repr(state), action, -0.0)])
+
+
+def negative_zero_linear(q, state, action):
+    q.load_records([(repr(f), -1, -0.0) for f in q.featurize(state)[action]])
+
+
+ROW_CASES = {
+    "tabular": (lambda: TabularQ(4), negative_zero_tabular),
+    "tabular-initial": (lambda: TabularQ(4, initial=-0.0), negative_zero_tabular),
+    "linear-mixed": (lambda: LinearQ(4, mixed_features), negative_zero_linear),
+    "linear-one-feature": (lambda: LinearQ(4, lone_features), negative_zero_linear),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+@given(
+    updates=st.lists(st.tuples(st.sampled_from(STATES), st.integers(0, 3),
+                               st.floats(-4, 4), st.floats(0, 1)), max_size=30),
+    zeros=st.lists(st.tuples(st.sampled_from(STATES), st.integers(0, 3)), max_size=4),
+)
+def test_row_matches_value_bitwise(case, updates, zeros):
+    """row(s) is [value(s, a) for every a], float for float (repr tells
+    -0.0 from 0.0), after updates and with -0.0 entries loaded."""
+    make, negative_zero = ROW_CASES[case]
+    q = make()
+    for state, action, target, lr in updates:
+        q.update(state, action, target, lr)
+    for state, action in zeros:
+        negative_zero(q, state, action)
+    for state in STATES + ("unseen",):
+        assert [repr(v) for v in q.row(state)] == [repr(q.value(state, a)) for a in range(4)]
+    assert q.best_value("s") == max(q.value("s", a) for a in range(4))
 
 
 # -- dumps ------------------------------------------------------------------

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from spotrl import seeding
+from spotrl import seeding, trainer
 from spotrl.envs.blockworld import BlockWorld
 from spotrl.envs.gridworld import GridWorld
 from spotrl.qfunction import TabularQ
 from spotrl.rewards import ConfigError, RewardConfig, trial_backfill
+from spotrl.spotq import DisallowedActionError
 from spotrl.trainer import (
     TERMINATION_COMPLETE,
     TERMINATION_LAVA,
@@ -326,3 +327,23 @@ def test_greedy_trials_respect_the_mask():
         record = run_greedy_trial(q, env, True, rng)
         assert record.termination in (TERMINATION_COMPLETE, TERMINATION_LIMIT)
         assert record.termination != TERMINATION_LAVA
+
+
+def test_a_disallowed_pick_raises(monkeypatch):
+    """The mask check is an exception, not an assert, so it also holds under
+    ``python -O``. A policy forced onto a masked action (place with an empty
+    gripper) is stopped in both greedy trials and training."""
+    monkeypatch.setattr(trainer, "masked_argmax",
+                        lambda q, state, mask, rng: mask.index(False))
+    with pytest.raises(DisallowedActionError):
+        run_greedy_trial(TabularQ(96), BlockWorld(), True, random.Random(0))
+    cfg = AgentConfig(
+        reward=RewardConfig(weights=BLOCK_WEIGHTS, reward_kind="trial_progress"),
+        training_action_budget=10,
+        epsilon_start=0.0,
+        epsilon_end=0.0,
+        use_mask=True,
+        validation_every=0,
+    )
+    with pytest.raises(DisallowedActionError):
+        run_training(BlockWorld, cfg)

@@ -12,6 +12,7 @@ grasping or pushing with a full gripper, and placing with an empty one.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Optional
 
 from ..rewards import StepOutcome
@@ -62,6 +63,8 @@ class BlockWorld:
             (atype, cell, -1 if direction is None else direction)
             for atype, cell, direction in map(self.decode, range(self.n_actions))
         )
+        # Per-cell list -> the pushed cell's entry of every push action.
+        self._push_cells = itemgetter(*(cell for _, cell, _ in self._decoded[2 * self.n_cells:]))
 
         self.stacks: list[list[int]] = [[] for _ in range(self.n_cells)]
         self.gripper: Optional[int] = None
@@ -232,14 +235,14 @@ class BlockWorld:
     # -- masking ----------------------------------------------------------
 
     def mask_for(self, state: BlockState) -> list[bool]:
+        """Grasp and push need a free gripper and an occupied cell (for a
+        push, the pushed one); place needs a held block. A fresh list."""
         held, heights = state
-        free = held == 0
-        mask = [free and heights[c] > 0 for c in range(self.n_cells)]
-        mask += [not free] * self.n_cells
-        for a in range(2 * self.n_cells, self.n_actions):
-            cell = (a - 2 * self.n_cells) // 4
-            mask.append(free and heights[cell] > 0)
-        return mask
+        n = self.n_cells
+        if held:
+            return [False] * n + [True] * n + [False] * (4 * n)
+        occupied = [h > 0 for h in heights]
+        return [*occupied, *([False] * n), *self._push_cells(occupied)]
 
     def mask(self) -> list[bool]:
         return self.mask_for(self.state())

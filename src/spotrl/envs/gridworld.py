@@ -8,12 +8,19 @@ off a BFS distance field computed from the goal over passable cells
 
 The action mask forbids moving forward into lava (fatal) or into a wall
 (a guaranteed no-op), leaving turns always available.
+
+The generator can draw only a handful of layouts (one gap row per lava
+column), so each env computes every layout it draws once: its cells, the
+goal BFS that both proves it solvable and gives the distance field, its
+layout key and its ``ideal_actions`` (a per-layout constant). A seeded
+reset that draws a known layout reuses all of these, so every state of one
+layout shares one layout-key object.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..rewards import StepOutcome
 
@@ -62,7 +69,7 @@ class GridWorld:
         self.action_limit = action_limit
         self.start = start
         self.goal = goal
-        self.cells: list[list[str]] = []
+        self.cells: Sequence[Sequence[str]] = []
         self.agent_x, self.agent_y = start
         self.heading = "E"
         self.consecutive_turns = 0
@@ -71,6 +78,10 @@ class GridWorld:
         self.last_event: Optional[str] = None
         self._dist: dict[tuple[int, int], int] = {}
         self._layout_key: tuple[tuple, tuple] = ((), ())
+        self._ideal = 0
+        # drawn gap rows -> (cells, distance field, layout key, ideal
+        # actions), or None when the goal cannot be reached from the start.
+        self._layouts: dict[tuple[int, ...], Optional[tuple]] = {}
 
     # -- layout -----------------------------------------------------------
 
@@ -85,15 +96,20 @@ class GridWorld:
         if seed is not None:
             rng = random.Random(seed)
             while True:
-                self._build_layout(rng)
-                if self._solvable():
+                gaps = tuple(rng.choice(GAP_ROWS) for _ in LAVA_COLUMNS)
+                if gaps not in self._layouts:
+                    self._layouts[gaps] = self._build_layout(gaps)
+                layout = self._layouts[gaps]
+                if layout is not None:
                     break
+            self.cells, self._dist, self._layout_key, self._ideal = layout
         elif not self.cells:
             raise GenerationError("no layout: reset needs a seed the first time")
-        self._dist = self._wavefront_from(self.goal)
-        if self._dist.get(self.start) is None:
-            raise GenerationError("start unreachable from goal")
-        self._layout_key = self._compute_layout_key()
+        else:
+            survey = self._survey()
+            if survey is None:
+                raise GenerationError("start unreachable from goal")
+            self._dist, self._layout_key, self._ideal = survey
         self.agent_x, self.agent_y = self.start
         self.heading = "E"
         self.consecutive_turns = 0
@@ -102,24 +118,35 @@ class GridWorld:
         self.last_event = None
         return self.state()
 
-    def _build_layout(self, rng: random.Random) -> None:
+    def _build_layout(self, gaps: tuple[int, ...]) -> Optional[tuple]:
+        """Lay out the grid with the gap of each lava column at ``gaps`` and
+        survey it: (cells, distance field, layout key, ideal actions), or
+        None when it is unsolvable. The cells are frozen, since every later
+        draw of the same gaps shares them."""
         w, h = self.width, self.height
         cells = [[EMPTY] * w for _ in range(h)]
         for x in range(w):
             cells[0][x] = cells[h - 1][x] = WALL
         for y in range(h):
             cells[y][0] = cells[y][w - 1] = WALL
-        for col in LAVA_COLUMNS:
-            gap_y = rng.choice(GAP_ROWS)
+        for col, gap_y in zip(LAVA_COLUMNS, gaps):
             for y in range(1, h - 1):
                 if y != gap_y:
                     cells[y][col] = LAVA
         gx, gy = self.goal
         cells[gy][gx] = GOAL
-        self.cells = cells
+        self.cells = tuple(map(tuple, cells))
+        survey = self._survey()
+        return None if survey is None else (self.cells, *survey)
 
-    def _solvable(self) -> bool:
-        return self._wavefront_from(self.goal).get(self.start) is not None
+    def _survey(self) -> Optional[tuple]:
+        """(distance field, layout key, ideal actions) of the current cells,
+        or None when the start cannot reach the goal. One goal BFS both
+        decides solvability and gives the distance field."""
+        dist = self._wavefront_from(self.goal)
+        if self.start not in dist:
+            return None
+        return dist, self._compute_layout_key(), self._shortest_pose_path()
 
     def _compute_layout_key(self) -> tuple[tuple, tuple]:
         """(interior walls, lava cells), each sorted — the observable layout."""
@@ -261,8 +288,12 @@ class GridWorld:
     # -- planning ---------------------------------------------------------
 
     def ideal_actions(self) -> int:
-        """Fewest actions (moves + turns) from the start pose to the goal,
-        by BFS over (x, y, heading) poses."""
+        """Fewest actions (moves + turns) from the start pose to the goal;
+        a constant of the layout, found when the layout was surveyed."""
+        return self._ideal
+
+    def _shortest_pose_path(self) -> int:
+        """BFS over (x, y, heading) poses from the start pose to the goal."""
         start_pose = (*self.start, "E")
         dist = {start_pose: 0}
         queue = deque([start_pose])

@@ -3,7 +3,9 @@
 Two implementations share the interface:
 
 - :class:`TabularQ` — exact table over hashable states, the default for the
-  grid world's pose states and for tiny test MDPs.
+  grid world's pose states and for tiny test MDPs. It stores one
+  ``{action: value}`` dict per state, so every read or update hashes the
+  state once, however many actions it touches.
 - :class:`LinearQ` — linear value over indicator features produced by an
   injected per-state featurizer, for the block world where the exact
   occupancy space is too sparse to visit.
@@ -15,7 +17,6 @@ bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
 state is looked up or featurized once per scan rather than once per action.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``.
-Snapshots are read-only copies, safe to hand to concurrent readers.
 """
 from __future__ import annotations
 
@@ -23,12 +24,8 @@ import ast
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 
-class FrozenQError(RuntimeError):
-    """Raised when update() is called on a snapshot."""
-
-
 class QFunction:
-    """Interface: value / row / update / snapshot plus text serialization."""
+    """Interface: value / row / update plus text serialization."""
 
     n_actions: int
 
@@ -42,9 +39,6 @@ class QFunction:
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
         raise NotImplementedError
 
-    def snapshot(self) -> "QFunction":
-        raise NotImplementedError
-
     def best_value(self, state: Hashable) -> float:
         """max_a Q(state, a) over the full action set."""
         return max(self.row(state))
@@ -55,47 +49,52 @@ class QFunction:
 
 
 class TabularQ(QFunction):
-    """Exact Q-table over hashable state keys; unseen entries read 0."""
+    """Exact Q-table over hashable state keys; unseen entries read 0.
+
+    Stored as ``{state: {action: value}}`` holding only the entries that
+    were written (or loaded)."""
 
     kind = "tabular"
 
-    def __init__(self, n_actions: int, initial: float = 0.0, _frozen: bool = False):
+    def __init__(self, n_actions: int, initial: float = 0.0):
         self.n_actions = n_actions
         self.initial = initial
-        self._table: dict[tuple[Hashable, int], float] = {}
-        self._frozen = _frozen
+        self._table: dict[Hashable, dict[int, float]] = {}
 
     def value(self, state: Hashable, action_id: int) -> float:
-        return self._table.get((state, action_id), self.initial)
+        entries = self._table.get(state)
+        return self.initial if entries is None else entries.get(action_id, self.initial)
 
     def row(self, state: Hashable) -> list[float]:
-        get = self._table.get
+        entries = self._table.get(state)
         initial = self.initial
-        return [get((state, a), initial) for a in range(self.n_actions)]
+        if entries is None:
+            return [initial] * self.n_actions
+        get = entries.get
+        return [get(a, initial) for a in range(self.n_actions)]
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
-        if self._frozen:
-            raise FrozenQError("snapshot Q-functions are read-only")
-        key = (state, action_id)
-        old = self._table.get(key, self.initial)
-        self._table[key] = old + lr * (target - old)
-
-    def snapshot(self) -> "TabularQ":
-        copy = TabularQ(self.n_actions, self.initial, _frozen=True)
-        copy._table = dict(self._table)
-        return copy
+        entries = self._table.get(state)
+        if entries is None:
+            entries = self._table[state] = {}
+        old = entries.get(action_id, self.initial)
+        entries[action_id] = old + lr * (target - old)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return sum(map(len, self._table.values()))
 
     def records(self) -> list[tuple[str, int, float]]:
-        rows = [(repr(state), action, value) for (state, action), value in self._table.items()]
+        rows = []
+        for state, entries in self._table.items():
+            key = repr(state)
+            rows.extend((key, action, value) for action, value in entries.items())
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 
     def load_records(self, rows: Iterable[tuple[str, int, float]]) -> None:
+        table = self._table
         for key, action, value in rows:
-            self._table[(ast.literal_eval(key), int(action))] = value
+            table.setdefault(ast.literal_eval(key), {})[int(action)] = value
 
 
 # state -> one tuple of hashable feature keys per action id.
@@ -118,11 +117,10 @@ class LinearQ(QFunction):
 
     kind = "linear"
 
-    def __init__(self, n_actions: int, featurize: Featurizer, _frozen: bool = False):
+    def __init__(self, n_actions: int, featurize: Featurizer):
         self.n_actions = n_actions
         self.featurize = featurize
         self._weights: dict[Hashable, float] = {}
-        self._frozen = _frozen
         # (state, its features, lone keys) of the last featurized state, where
         # lone keys lists each action's only feature when every action has
         # exactly one, else None. Swapped in one assignment, so a reader never
@@ -158,8 +156,6 @@ class LinearQ(QFunction):
         return [sum(get(f, 0.0) for f in fs) / len(fs) if fs else 0.0 for fs in feats]
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
-        if self._frozen:
-            raise FrozenQError("snapshot Q-functions are read-only")
         feats = self._features(state)[action_id]
         if not feats:
             return
@@ -168,11 +164,6 @@ class LinearQ(QFunction):
         step = lr * error / len(feats)
         for f in feats:
             weights[f] = weights.get(f, 0.0) + step
-
-    def snapshot(self) -> "LinearQ":
-        copy = LinearQ(self.n_actions, self.featurize, _frozen=True)
-        copy._weights = dict(self._weights)
-        return copy
 
     def __len__(self) -> int:
         return len(self._weights)

@@ -355,7 +355,7 @@ def evaluate(
     trials: list[TrialRecord] = []
     for i in range(n_trials):
         record = run_greedy_trial(q, env, use_mask, stream)
-        trials.append(replace_trial_id(record, i))
+        trials.append(replace(record, trial_id=i))
     done = [t for t in trials if t.completed]
     attempts: dict = {}
     successes: dict = {}
@@ -373,6 +373,3 @@ def evaluate(
     }
     return summary, trials
 
-
-def replace_trial_id(record: TrialRecord, trial_id: int) -> TrialRecord:
-    return replace(record, trial_id=trial_id)

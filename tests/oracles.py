@@ -584,3 +584,22 @@ def block_feature_key(state, action, n_cells):
     else:
         rel = "below"
     return ((atype, held, max_h, tgt_h, rel, direction),)
+
+
+# ---------------------------------------------------------------------------
+# Block-world mask oracle (one action at a time)
+# ---------------------------------------------------------------------------
+
+
+def block_mask(state, n_cells):
+    """The block world's action mask built action by action: grasp and push
+    need a free gripper and an occupied cell (a push's cell is its id's
+    offset into the push range, divided by four directions); place needs a
+    held block."""
+    held, heights = state
+    free = held == 0
+    mask = [free and heights[c] > 0 for c in range(n_cells)]
+    mask += [not free] * n_cells
+    for a in range(2 * n_cells, 6 * n_cells):
+        mask.append(free and heights[(a - 2 * n_cells) // 4] > 0)
+    return mask

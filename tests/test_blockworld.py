@@ -11,6 +11,7 @@ from spotrl.harness import block_q
 from oracles import (
     ScriptedRandom,
     block_feature_key,
+    block_mask,
     shortest_stack_plan_length,
     task_done,
 )
@@ -471,6 +472,19 @@ def test_features_match_the_per_action_oracle(task, seed, steps):
     for state in states:
         assert env.features(state) == [block_feature_key(state, a, env.n_cells)
                                        for a in range(env.n_actions)]
+
+
+@given(**WALKS)
+def test_mask_matches_the_per_action_oracle(task, seed, steps):
+    """mask_for gives every action the bool the action-by-action derivation
+    gives it, on held and free states, in a fresh list each call."""
+    env, states = walk_states(task, seed, steps)
+    for state in states:
+        mask = env.mask_for(state)
+        assert mask == block_mask(state, env.n_cells)
+        assert all(type(ok) is bool for ok in mask)
+        mask[:] = [None] * len(mask)
+        assert env.mask_for(state) == block_mask(state, env.n_cells)
 
 
 def test_walks_cover_every_feature_case():

@@ -71,6 +71,62 @@ def test_layout_structure():
         assert len(gaps) == 1 and gaps[0] in GAP_ROWS
 
 
+def test_reset_draws_one_gap_row_per_lava_column():
+    """reset(seed) draws exactly one rng.choice(GAP_ROWS) per lava column, in
+    column order, from random.Random(seed): the lava cells show those gaps."""
+    g = GridWorld()
+    for seed in range(200):
+        g.reset(seed)
+        rng = random.Random(seed)
+        expected = [rng.choice(GAP_ROWS) for _ in LAVA_COLUMNS]
+        gaps = [[y for y in range(1, 8) if g.cell(col, y) != "L"] for col in LAVA_COLUMNS]
+        assert gaps == [[y] for y in expected]
+
+
+def test_a_long_lived_env_matches_fresh_envs():
+    """Resetting one env through seeds 0-199 in shuffled order gives, seed
+    for seed, what a fresh env gives: the same state, grid, distance field
+    and ideal action count, the latter equal to the pose-graph oracle."""
+    seeds = list(range(200))
+    random.Random(11).shuffle(seeds)
+    g = GridWorld()
+    for seed in seeds:
+        state = g.reset(seed)
+        fresh = GridWorld.generate(seed)
+        assert state == fresh.state()
+        assert g.to_text() == fresh.to_text()
+        assert g.distance_field() == fresh.distance_field()
+        assert g.ideal_actions() == fresh.ideal_actions() == pose_graph_shortest(fresh)
+
+
+def test_a_layout_drawn_again_shares_its_layout_key():
+    """Two seeds that draw the same gap rows give states whose layout keys
+    are one object, so Q-table lookups compare them by identity."""
+    g = GridWorld()
+    first = {}
+    for seed in range(50):
+        key = g.reset(seed)[3]
+        lavas = key[1]
+        gaps = tuple(y for col in LAVA_COLUMNS for y in range(1, 8) if (col, y) not in lavas)
+        if gaps in first:
+            assert key is first[gaps]
+            assert g.reset(seed)[3] is key
+        first.setdefault(gaps, key)
+    assert len(first) == len(GAP_ROWS) ** len(LAVA_COLUMNS)
+
+
+def test_reset_without_seed_surveys_the_current_cells():
+    """from_text and a seedless reset compute the distance field, layout key
+    and ideal action count from the cells the env holds."""
+    g = GridWorld.from_text(OPEN_9X9)
+    assert g.ideal_actions() == pose_graph_shortest(g) == 17  # 16 moves, 1 turn
+    g.cells[1][2] = "L"  # lava right ahead of the start pose
+    state = g.reset()
+    assert state[3] == ((), ((2, 1),))
+    assert g.distance_field() == cell_distance_field(g)
+    assert g.ideal_actions() == pose_graph_shortest(g) == 18  # one more turn
+
+
 # -- wavefront and progress -------------------------------------------------
 
 

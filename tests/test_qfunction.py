@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spotrl.qfunction import (
-    FrozenQError,
     LinearQ,
     TabularQ,
     dump_qfunction,
@@ -65,22 +64,56 @@ def test_best_value_scans_all_actions():
     assert q.best_value("unseen") == 0.0
 
 
-def test_snapshot_is_frozen_and_detached():
-    q = TabularQ(2)
-    q.update("s", 0, 1.0, 1.0)
-    frozen = q.snapshot()
-    with pytest.raises(FrozenQError):
-        frozen.update("s", 0, 2.0, 1.0)
-    q.update("s", 0, 2.0, 1.0)  # the live table still learns
-    assert q.value("s", 0) == 2.0
-    assert frozen.value("s", 0) == 1.0
-
-
 def test_tabular_records_sorted():
     q = TabularQ(2)
     q.update((2, 1), 1, 0.25, 1.0)
     q.update((1, 1), 0, 0.75, 1.0)
     assert q.records() == [("(1, 1)", 0, 0.75), ("(2, 1)", 1, 0.25)]
+
+
+TABLE_STATES = ("s", "t", (1, 2), (1, 2, "E", ((), ((3, 1), (3, 2)))))
+TABLE_UPDATES = st.lists(st.tuples(st.sampled_from(TABLE_STATES), st.integers(0, 3),
+                                   st.floats(-4, 4), st.floats(0, 1)), max_size=40)
+
+
+def flat_table(updates, initial):
+    """The same updates applied to one flat {(state, action): value} dict."""
+    table = {}
+    for state, action, target, lr in updates:
+        old = table.get((state, action), initial)
+        table[(state, action)] = old + lr * (target - old)
+    return table
+
+
+@given(updates=TABLE_UPDATES, initial=st.sampled_from((0.0, -0.0, 0.4)))
+def test_tabular_stores_exactly_the_written_entries(updates, initial):
+    """Per-state storage holds what a flat (state, action) table holds:
+    the same records in the same order, no entry for an action never
+    written at a written state, and len() counts written entries."""
+    q = TabularQ(4, initial=initial)
+    for update in updates:
+        q.update(*update)
+    flat = flat_table(updates, initial)
+    expected = sorted(((repr(s), a, v) for (s, a), v in flat.items()),
+                      key=lambda r: (r[0], r[1]))
+    assert [(k, a, repr(v)) for k, a, v in q.records()] == \
+        [(k, a, repr(v)) for k, a, v in expected]
+    assert len(q) == len(flat)
+
+
+@given(updates=TABLE_UPDATES)
+def test_tabular_dump_reloads_every_row(updates):
+    """dump -> parse_qdump -> load_records gives back the same row, float
+    for float, for every state, written or not."""
+    q = TabularQ(4)
+    for update in updates:
+        q.update(*update)
+    _, rows = parse_qdump(dump_qfunction(q, {}))
+    restored = TabularQ(4)
+    restored.load_records(rows)
+    assert len(restored) == len(q)
+    for state in TABLE_STATES + ("unseen",):
+        assert [repr(v) for v in restored.row(state)] == [repr(v) for v in q.row(state)]
 
 
 # -- linear -----------------------------------------------------------------
@@ -112,15 +145,6 @@ def test_linear_empty_feature_set_is_inert():
     q.update("s", 0, 5.0, 1.0)
     assert q.value("s", 0) == 0.0
     assert len(q) == 0
-
-
-def test_linear_snapshot_frozen():
-    q = LinearQ(2, joint_feature)
-    q.update("s", 0, 1.0, 1.0)
-    frozen = q.snapshot()
-    with pytest.raises(FrozenQError):
-        frozen.update("s", 0, 0.0, 1.0)
-    assert frozen.value("s", 0) == 1.0
 
 
 def test_linear_records_use_feature_keys():

@@ -82,6 +82,9 @@ class GridWorld:
         # drawn gap rows -> (cells, distance field, layout key, ideal
         # actions), or None when the goal cannot be reached from the start.
         self._layouts: dict[tuple[int, ...], Optional[tuple]] = {}
+        # layout key -> frozenset of the (x, y, heading) poses whose forward
+        # move it blocks, built on a key's first mask_for.
+        self._blocked: dict[tuple[tuple, tuple], frozenset] = {}
 
     # -- layout -----------------------------------------------------------
 
@@ -271,16 +274,26 @@ class GridWorld:
         """Forward is disallowed into lava (fatal) and into walls (certain
         no-op); turning is always allowed. Computed from the state alone so
         replayed states keep the mask of the layout they came from."""
-        x, y, heading, (walls, lavas) = state
-        dx, dy = DELTAS[heading]
-        fx, fy = x + dx, y + dy
-        blocked = (
-            fx in (0, self.width - 1)
-            or fy in (0, self.height - 1)
-            or (fx, fy) in walls
-            or (fx, fy) in lavas
-        )
-        return [not blocked, True, True]
+        x, y, heading, key = state
+        blocked = self._blocked.get(key)
+        if blocked is None:
+            blocked = self._blocked[key] = self._blocked_poses(key)
+        return [(x, y, heading) not in blocked, True, True]
+
+    def _blocked_poses(self, layout_key: tuple[tuple, tuple]) -> frozenset:
+        """Every (x, y, heading) pose on the grid whose forward cell is a
+        border, an interior wall or lava under ``layout_key``."""
+        walls, lavas = layout_key
+        w, h = self.width, self.height
+        blocked = set()
+        for y in range(h):
+            for x in range(w):
+                for heading, (dx, dy) in DELTAS.items():
+                    fx, fy = x + dx, y + dy
+                    if (fx in (0, w - 1) or fy in (0, h - 1)
+                            or (fx, fy) in walls or (fx, fy) in lavas):
+                        blocked.add((x, y, heading))
+        return frozenset(blocked)
 
     def mask(self) -> list[bool]:
         return self.mask_for(self.state())

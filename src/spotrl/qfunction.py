@@ -16,7 +16,10 @@ bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
 (greedy picks, ``best_value``, the SPOT-Q recomputation) reads one row, so a
 state is looked up or featurized once per scan rather than once per action.
 
-Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``.
+Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
+and return the value they blended from, the same float ``value()`` read
+just before; a caller that needs the prediction and the update (the replay
+loss) makes one call instead of a read and then an update.
 """
 from __future__ import annotations
 
@@ -36,7 +39,9 @@ class QFunction:
         """[Q(state, a) for every action a], equal to value() entry by entry."""
         raise NotImplementedError
 
-    def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
+    def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
+        """Move Q(state, action_id) toward target by lr; returns the value
+        before the update, equal to what value(state, action_id) returned."""
         raise NotImplementedError
 
     def best_value(self, state: Hashable) -> float:
@@ -73,12 +78,13 @@ class TabularQ(QFunction):
         get = entries.get
         return [get(a, initial) for a in range(self.n_actions)]
 
-    def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
+    def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
         entries = self._table.get(state)
         if entries is None:
             entries = self._table[state] = {}
         old = entries.get(action_id, self.initial)
         entries[action_id] = old + lr * (target - old)
+        return old
 
     def __len__(self) -> int:
         return sum(map(len, self._table.values()))
@@ -155,15 +161,16 @@ class LinearQ(QFunction):
             return [0.0 + get(k, 0.0) for k in lone]
         return [sum(get(f, 0.0) for f in fs) / len(fs) if fs else 0.0 for fs in feats]
 
-    def update(self, state: Hashable, action_id: int, target: float, lr: float) -> None:
+    def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
         feats = self._features(state)[action_id]
         if not feats:
-            return
+            return 0.0
         weights = self._weights
-        error = target - sum(weights.get(f, 0.0) for f in feats) / len(feats)
-        step = lr * error / len(feats)
+        old = sum(weights.get(f, 0.0) for f in feats) / len(feats)
+        step = lr * (target - old) / len(feats)
         for f in feats:
             weights[f] = weights.get(f, 0.0) + step
+        return old
 
     def __len__(self) -> int:
         return len(self._weights)

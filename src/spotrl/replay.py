@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Hashable, Optional
 
 from sortedcontainers import SortedList
 
@@ -44,7 +44,7 @@ class TrialOrderError(ValueError):
 
 @dataclass
 class Experience:
-    """One stored transition. Field order is the dump-file column order."""
+    """One stored transition."""
 
     state: Hashable
     action_id: int
@@ -184,27 +184,30 @@ class ReplayBuffer:
 
         Always consumes exactly two rng draws (filter coin, rank draw) so
         interleaved runs stay reproducible regardless of buffer contents.
+        The rank is the first prefix sum of the rank weights above a uniform
+        draw scaled to the candidates' total weight.
         """
-        if not self._ranked_all:
-            raise EmptyBufferError("no sample-eligible experiences in buffer")
-        apply_filter = rng.random() < self.type_filter_prob
         candidates = self._ranked_all
-        if apply_filter:
+        if not candidates:
+            raise EmptyBufferError("no sample-eligible experiences in buffer")
+        if rng.random() < self.type_filter_prob:
             group = self._ranked_group.get((last_action_type, not last_success))
             if group:
                 candidates = group
-        rank = self._draw_rank(rng, len(candidates))
-        return candidates[rank][1]
+        n = len(candidates)
+        cum = self._cum
+        if len(cum) < n:
+            self._grow_cum(n)
+        return candidates[bisect_right(cum, rng.random() * cum[n - 1], 0, n - 1)][1]
 
-    def _draw_rank(self, rng: random.Random, n: int) -> int:
-        while len(self._cum) < n:
-            prev = self._cum[-1] if self._cum else 0.0
-            self._cum.append(prev + (len(self._cum) + 1) ** (-self.per_exponent))
-        u = rng.random() * self._cum[n - 1]
-        return bisect_right(self._cum, u, 0, n - 1)
+    def _grow_cum(self, n: int) -> None:
+        cum = self._cum
+        while len(cum) < n:
+            prev = cum[-1] if cum else 0.0
+            cum.append(prev + (len(cum) + 1) ** (-self.per_exponent))
 
     def rank_probabilities(self, n: int) -> list[float]:
-        """The exact mass function _draw_rank targets for a list of size n."""
+        """The exact mass function sample() draws ranks from for a list of size n."""
         weights = [(r + 1) ** (-self.per_exponent) for r in range(n)]
         total = sum(weights)
         return [w / total for w in weights]
@@ -241,82 +244,6 @@ class ReplayBuffer:
                 del self._entries[idx]
             self._min_live_trial = next(iter(self._trials), None)
 
-    # -- persistence ------------------------------------------------------
-
-    def dump_lines(self, state_to_text: Callable[[Hashable], str]) -> Iterable[str]:
-        """One experience per line, fields tab-separated in declaration order."""
-        for idx in sorted(self._entries):
-            e = self._entries[idx]
-            trial_reward = "-" if e.trial_reward is None else repr(e.trial_reward)
-            yield "\t".join(
-                [
-                    state_to_text(e.state),
-                    str(e.action_id),
-                    e.action_type,
-                    repr(e.instant_reward),
-                    trial_reward,
-                    repr(e.predicted_q),
-                    "1" if e.success else "0",
-                    str(e.trial_id),
-                    str(e.step_index),
-                    state_to_text(e.next_state),
-                    "1" if e.terminal else "0",
-                ]
-            )
-
-    @classmethod
-    def restore(
-        cls,
-        lines: Iterable[str],
-        state_from_text: Callable[[str], Hashable],
-        cfg: RewardConfig,
-        **kwargs,
-    ) -> "ReplayBuffer":
-        """Rebuild a buffer from dump_lines output.
-
-        Trials whose every entry carries a trial reward are marked finalized
-        (the stored values are kept as-is, not recomputed).
-        """
-        buf = cls(cfg, **kwargs)
-        parsed: list[Experience] = []
-        for line in lines:
-            if not line.strip():
-                continue
-            (state, action_id, action_type, instant, trial_reward, predicted,
-             success, trial_id, step_index, next_state, terminal) = line.rstrip("\n").split("\t")
-            parsed.append(
-                Experience(
-                    state=state_from_text(state),
-                    action_id=int(action_id),
-                    action_type=action_type,
-                    instant_reward=float(instant),
-                    trial_reward=None if trial_reward == "-" else float(trial_reward),
-                    predicted_q=float(predicted),
-                    success=success == "1",
-                    trial_id=int(trial_id),
-                    step_index=int(step_index),
-                    next_state=state_from_text(next_state),
-                    terminal=terminal == "1",
-                )
-            )
-        for e in parsed:
-            restored_trial_reward = e.trial_reward
-            e.trial_reward = None
-            idx = buf.push(e)
-            e.trial_reward = restored_trial_reward
-            if restored_trial_reward is None:
-                continue
-            # Re-rank under the restored (finalized) surprise.
-            if not cfg.uses_trial_reward:
-                item = (-abs(e.instant_reward - e.predicted_q), idx)
-                buf._ranked_all.discard(item)
-                buf._group_for(e).discard(item)
-            buf._rank_insert(idx)
-        for trial in buf._trials.values():
-            if all(buf._entries[i].trial_reward is not None for i in trial.ids):
-                trial.finalized = True
-        return buf
-
 
 def apply_update(
     e: Experience,
@@ -330,14 +257,16 @@ def apply_update(
     """Train Q on one experience: executed target plus, when the mask
     disallows the unrestricted greedy action, the extra zero-reward target.
 
-    Both losses and both predictions are read before either update is
-    applied, so the reported loss and the pair of targets come from one
-    consistent view of Q. Returns the summed huber loss.
+    Both predictions are read before either update is applied, so the
+    reported loss and the pair of targets come from one consistent view of
+    Q: the masked entry is read first, then the executed update returns the
+    executed entry's prior value. Returns the summed huber loss.
     """
     if reward is None:
         reward = training_reward(e, cfg)
+    state = e.state
     t = spotq.targets(
-        state=e.state,
+        state=state,
         action_id=e.action_id,
         reward=reward,
         next_state=e.next_state,
@@ -347,12 +276,14 @@ def apply_update(
         learn_discount=cfg.learn_discount,
         tie_rng=tie_rng,
     )
-    loss = huber_loss(q.value(e.state, e.action_id), t.executed_target)
-    if t.masked_action is not None:
-        loss += huber_loss(q.value(e.state, t.masked_action), t.masked_target)
-    q.update(e.state, e.action_id, t.executed_target, alpha)
-    if t.masked_action is not None:
-        q.update(e.state, t.masked_action, t.masked_target, alpha)
+    executed = t.executed_target
+    masked_action = t.masked_action
+    if masked_action is not None:
+        masked_prediction = q.value(state, masked_action)
+    loss = huber_loss(q.update(state, e.action_id, executed, alpha), executed)
+    if masked_action is not None:
+        loss += huber_loss(masked_prediction, t.masked_target)
+        q.update(state, masked_action, t.masked_target, alpha)
     return loss
 
 
@@ -367,7 +298,8 @@ def train_step(
 ) -> float:
     """Sample one experience (filter anchored on the most recent push) and
     train on it; returns the summed huber loss."""
-    if buf.last_pushed is None:
+    last = buf.last_pushed
+    if last is None:
         raise EmptyBufferError("buffer has never been pushed to")
-    idx = buf.sample(rng, buf.last_pushed.action_type, buf.last_pushed.success)
-    return apply_update(buf.get(idx), q, mask_fn, cfg, alpha, tie_rng)
+    idx = buf.sample(rng, last.action_type, last.success)
+    return apply_update(buf._entries[idx], q, mask_fn, cfg, alpha, tie_rng)

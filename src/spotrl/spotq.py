@@ -13,7 +13,6 @@ known to destabilize training.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
 from .qfunction import QFunction
@@ -31,21 +30,38 @@ class DisallowedActionError(RuntimeError):
     """A masked policy picked an action its mask disallows."""
 
 
-@dataclass(frozen=True)
 class SpotQTargets:
     """Targets for one replayed transition.
 
     ``masked_target``/``masked_action`` are present iff the unrestricted
-    greedy action at the stored state was disallowed by the mask.
+    greedy action at the stored state was disallowed by the mask. A plain
+    slotted class rather than a dataclass, because one is built per replayed
+    update; equal by value.
     """
 
-    executed_target: float
-    masked_target: Optional[float] = None
-    masked_action: Optional[int] = None
+    __slots__ = ("executed_target", "masked_target", "masked_action")
 
-    def __post_init__(self) -> None:
-        if (self.masked_target is None) != (self.masked_action is None):
+    def __init__(self, executed_target: float, masked_target: Optional[float] = None,
+                 masked_action: Optional[int] = None):
+        if (masked_target is None) != (masked_action is None):
             raise ValueError("masked_target and masked_action must appear together")
+        self.executed_target = executed_target
+        self.masked_target = masked_target
+        self.masked_action = masked_action
+
+    def _fields(self) -> tuple:
+        return (self.executed_target, self.masked_target, self.masked_action)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpotQTargets):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"SpotQTargets{self._fields()!r}"
 
 
 def allowed_actions(mask: ActionMask) -> list[int]:

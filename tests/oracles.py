@@ -603,3 +603,58 @@ def block_mask(state, n_cells):
     for a in range(2 * n_cells, 6 * n_cells):
         mask.append(free and heights[(a - 2 * n_cells) // 4] > 0)
     return mask
+
+
+# ---------------------------------------------------------------------------
+# Grid mask oracle (the forward cell, worked out per call)
+# ---------------------------------------------------------------------------
+
+
+def grid_mask(state, width, height):
+    """The grid world's mask from the pose alone: forward is blocked when the
+    cell ahead is on the border, an interior wall or lava; turns are always
+    allowed."""
+    x, y, heading, (walls, lavas) = state
+    dx, dy = _DELTAS[heading]
+    fx, fy = x + dx, y + dy
+    blocked = (
+        fx in (0, width - 1)
+        or fy in (0, height - 1)
+        or (fx, fy) in walls
+        or (fx, fy) in lavas
+    )
+    return [not blocked, True, True]
+
+
+# ---------------------------------------------------------------------------
+# Replay update reference (read both predictions, then update)
+# ---------------------------------------------------------------------------
+
+
+def reference_apply_update(e, q, mask_fn, cfg, alpha, tie_rng, reward=None):
+    """One replayed update in its plain order: the SPOT-Q targets, then both
+    predictions read with value(), then the executed and the masked update.
+    Returns the summed huber loss."""
+    from spotrl import spotq
+    from spotrl.replay import training_reward
+
+    if reward is None:
+        reward = training_reward(e, cfg)
+    t = spotq.targets(
+        state=e.state,
+        action_id=e.action_id,
+        reward=reward,
+        next_state=e.next_state,
+        terminal=e.terminal,
+        q=q,
+        mask_fn=mask_fn,
+        learn_discount=cfg.learn_discount,
+        tie_rng=tie_rng,
+    )
+    loss = spotq.huber_loss(q.value(e.state, e.action_id), t.executed_target)
+    if t.masked_action is not None:
+        loss += spotq.huber_loss(q.value(e.state, t.masked_action), t.masked_target)
+    q.update(e.state, e.action_id, t.executed_target, alpha)
+    if t.masked_action is not None:
+        q.update(e.state, t.masked_action, t.masked_target, alpha)
+    return loss

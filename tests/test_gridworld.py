@@ -14,7 +14,7 @@ from spotrl.envs.gridworld import (
     GridWorld,
 )
 
-from oracles import cell_distance_field, pose_graph_shortest
+from oracles import cell_distance_field, grid_mask, pose_graph_shortest
 
 OPEN_9X9 = "\n".join(
     ["#" * 11]
@@ -284,6 +284,44 @@ def test_mask_blocks_walls_and_lava_only():
     assert g.mask() == [True, True, True]
     g.step(TURN_RIGHT)  # face west: border wall
     assert g.mask() == [False, True, True]
+
+
+def _one_env_per_layout():
+    """One env per layout: the four generated layouts and a from_text grid
+    with interior walls and lava."""
+    envs = {}
+    for seed in range(50):
+        g = GridWorld.generate(seed)
+        envs.setdefault(g.state()[3], g)
+    assert len(envs) == len(GAP_ROWS) ** len(LAVA_COLUMNS)
+    walled = GridWorld.from_text("""
+#########
+#>..#...#
+#.#.....#
+#..L#..G#
+#########
+""")
+    assert all(walled.state()[3])  # interior walls and lava present
+    return list(envs.values()) + [walled]
+
+
+def test_mask_matches_the_per_pose_oracle():
+    """mask_for equals the oracle on every pose of every layout, both on the
+    env that drew the layout and on a fresh env that has drawn none (as a
+    replayed state from another layout would be masked)."""
+    for g in _one_env_per_layout():
+        key = g.state()[3]
+        stranger = GridWorld(width=g.width, height=g.height)
+        for y in range(g.height):
+            for x in range(g.width):
+                for heading in "NESW":
+                    state = (x, y, heading, key)
+                    expected = grid_mask(state, g.width, g.height)
+                    assert g.mask_for(state) == expected, state
+                    assert stranger.mask_for(state) == expected, state
+    mask = g.mask_for((1, 1, "E", key))
+    mask[0] = not mask[0]
+    assert g.mask_for((1, 1, "E", key)) != mask  # a fresh list per call
 
 
 def test_mask_is_a_pure_function_of_the_state():

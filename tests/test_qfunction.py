@@ -215,6 +215,24 @@ def test_row_matches_value_bitwise(case, updates, zeros):
     assert q.best_value("s") == max(q.value("s", a) for a in range(4))
 
 
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+@given(
+    zeros=st.lists(st.tuples(st.sampled_from(STATES), st.integers(0, 3)), max_size=4),
+    updates=st.lists(st.tuples(st.sampled_from(STATES), st.integers(0, 3),
+                               st.floats(-4, 4), st.floats(0, 1)), max_size=30),
+)
+def test_update_returns_the_prior_value(case, zeros, updates):
+    """update() returns the value it blended from, float for float the one
+    value() read just before it (-0.0 entries and unwritten actions too)."""
+    make, negative_zero = ROW_CASES[case]
+    q = make()
+    for state, action in zeros:
+        negative_zero(q, state, action)
+    for state, action, target, lr in updates:
+        prior = repr(q.value(state, action))
+        assert repr(q.update(state, action, target, lr)) == prior
+
+
 # -- dumps ------------------------------------------------------------------
 
 

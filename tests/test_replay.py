@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from spotrl.qfunction import TabularQ
+from spotrl.qfunction import LinearQ, TabularQ
 from spotrl.replay import (
     EmptyBufferError,
     Experience,
@@ -17,7 +18,8 @@ from spotrl.replay import (
 )
 from spotrl.rewards import RewardConfig
 
-from oracles import CountingRandom, ForbiddenRandom, MirrorReplay, ScriptedRandom
+from oracles import (CountingRandom, ForbiddenRandom, MirrorReplay, ScriptedRandom,
+                     reference_apply_update)
 
 WEIGHTS = {"grasp": 1.0, "place": 1.25, "push": 0.5}
 
@@ -283,39 +285,6 @@ def test_surprise_uses_latest_reward():
     assert surprise(e) == 1.8
 
 
-# -- persistence ------------------------------------------------------------
-
-
-def test_dump_restore_round_trip():
-    buf = ReplayBuffer(cfg("trial_progress"))
-    for i, instant in enumerate([1.0, 0.0, 1.0, 1.0]):
-        buf.push(exp(i, instant=instant, step=i, terminal=i == 3,
-                     predicted=0.125 * i, success=i % 2 == 0))
-    buf.finalize_trial(0, True)
-    buf.push(exp(9, trial=1, step=0, instant=0.25))  # open trial: no reward yet
-    lines = list(buf.dump_lines(repr))
-    assert len(lines) == 5
-    assert lines[4].split("\t")[4] == "-"  # open trials dump a placeholder
-
-    restored = ReplayBuffer.restore(lines, eval, cfg("trial_progress"))
-    assert len(restored) == 5
-    for i in range(5):
-        a, b = buf.get(i), restored.get(i)
-        assert (a.state, a.action_id, a.action_type, a.instant_reward,
-                a.trial_reward, a.predicted_q, a.success, a.trial_id,
-                a.step_index, a.next_state, a.terminal) == (
-                b.state, b.action_id, b.action_type, b.instant_reward,
-                b.trial_reward, b.predicted_q, b.success, b.trial_id,
-                b.step_index, b.next_state, b.terminal)
-    assert restored.eligible == buf.eligible
-    with pytest.raises(TrialOrderError):
-        restored.push(exp(10, trial=0, step=9))  # restored as finalized
-    restored.push(exp(10, trial=1, step=1))      # open trial stays open
-    # Same ranking: identical scripted draws pick identical entries.
-    assert (buf.sample(ScriptedRandom([0.99, 0.0]), "grasp", True)
-            == restored.sample(ScriptedRandom([0.99, 0.0]), "grasp", True))
-
-
 # -- updates ----------------------------------------------------------------
 
 
@@ -349,6 +318,58 @@ def test_apply_update_reward_override():
     e.action_id = 0
     apply_update(e, q, None, c, 1.0, ForbiddenRandom(), reward=0.25)
     assert q.value(("s", 0), 0) == 0.25
+
+
+def shared_features(state):
+    """Actions 0 and 1 share the "bias" feature, so updating one moves the
+    other; action 2 has a feature of its own."""
+    return [(("bias",), ("a0", state)), (("bias",), ("a1", state)), (("a2", state),)]
+
+
+def loaded_q(kind, entries):
+    """A Q-function holding exactly ``entries`` ((state, action) -> value);
+    for the linear kind each value is written to every feature of its pair."""
+    if kind == "linear":
+        q = LinearQ(3, shared_features)
+        q.load_records([(repr(f), -1, v) for (state, a), v in entries.items()
+                        for f in shared_features(state)[a]])
+    else:
+        q = TabularQ(3, initial=-0.0 if kind == "tabular-initial" else 0.0)
+        q.load_records([(repr(state), a, v) for (state, a), v in entries.items()])
+    return q
+
+
+@given(
+    kind=st.sampled_from(["tabular", "tabular-initial", "linear"]),
+    entries=st.dictionaries(st.tuples(st.sampled_from(["s", "n"]), st.integers(0, 2)),
+                            st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, 1.75]), max_size=6),
+    action=st.integers(0, 2),
+    reward=st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+    terminal=st.booleans(),
+    mask=st.none() | st.lists(st.booleans(), min_size=3, max_size=3),
+    alpha=st.sampled_from([0.3, 0.5, 1.0]),
+)
+# The masked target fires on an action sharing a feature with the executed one.
+@example(kind="linear", entries={("s", 1): 1.0, ("n", 2): 0.25}, action=0, reward=0.5,
+         terminal=False, mask=[True, False, True], alpha=0.5)
+# The masked target fires on a tabular row of -0.0 entries and unwritten actions.
+@example(kind="tabular-initial", entries={("s", 0): -0.0, ("s", 2): 0.25}, action=0,
+         reward=-0.0, terminal=True, mask=[True, True, False], alpha=1.0)
+def test_apply_update_matches_the_reference(kind, entries, action, reward, terminal,
+                                            mask, alpha):
+    """apply_update gives the plain read-both-then-update sequence's loss and
+    leaves the same Q entries, float for float."""
+    c = cfg(learn_discount=0.65)
+    e = Experience(state="s", action_id=action, action_type="grasp",
+                   instant_reward=reward, trial_reward=None, predicted_q=0.0,
+                   success=False, trial_id=0, step_index=0, next_state="n",
+                   terminal=terminal)
+    mask_fn = None if mask is None else (lambda s: mask)
+    fast, ref = loaded_q(kind, entries), loaded_q(kind, entries)
+    loss = apply_update(e, fast, mask_fn, c, alpha, random.Random(5))
+    expected = reference_apply_update(e, ref, mask_fn, c, alpha, random.Random(5))
+    assert repr(loss) == repr(expected)
+    assert repr(fast.records()) == repr(ref.records())
 
 
 def test_train_step_anchors_filter_on_last_push():

@@ -12,7 +12,7 @@ grasping or pushing with a full gripper, and placing with an empty one.
 from __future__ import annotations
 
 import random
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Optional
 
 from ..rewards import StepOutcome
@@ -65,6 +65,11 @@ class BlockWorld:
         )
         # Per-cell list -> the pushed cell's entry of every push action.
         self._push_cells = itemgetter(*(cell for _, cell, _ in self._decoded[2 * self.n_cells:]))
+        # Per-cell heights -> the target cell's height of every action.
+        self._action_heights = itemgetter(*(cell for _, cell, _ in self._decoded))
+        # (held, tallest height, tallest is unique) -> per action, the
+        # feature tuple of each target height; built on a signature's first use.
+        self._feature_tables: dict[tuple[int, int, bool], list[list[tuple]]] = {}
 
         self.stacks: list[list[int]] = [[] for _ in range(self.n_cells)]
         self.gripper: Optional[int] = None
@@ -111,14 +116,14 @@ class BlockWorld:
         return self.state()
 
     def state(self) -> BlockState:
-        heights = tuple(len(s) for s in self.stacks)
+        heights = tuple(map(len, self.stacks))
         return (0 if self.gripper is None else 1, heights)
 
     # -- progress ---------------------------------------------------------
 
     def progress(self) -> float:
         if self.task == "stack":
-            tallest = max(len(s) for s in self.stacks)
+            tallest = max(map(len, self.stacks))
             return min(1.0, tallest / self.goal_size)
         if self.task == "row":
             return min(1.0, self._longest_run() / self.goal_size)
@@ -256,15 +261,25 @@ class BlockWorld:
         stack height, target-cell height, the target's relation to the
         tallest stack, and the push direction (-1 for grasp and place) —
         the signature that decides whether an action builds toward the goal
-        or reverses it, independent of which cell it is. The tallest height
-        and each cell's relation are worked out once per state.
+        or reverses it, independent of which cell it is. Apart from the
+        target height, a feature depends only on (held, tallest height,
+        tallest is unique), so each such signature's feature tuples are
+        built once and shared; every call returns a fresh list of them.
         """
         held, heights = state
         max_h = max(heights)
-        top = "lone_max" if heights.count(max_h) == 1 else "tied_max"
-        rel = ["empty" if h == 0 else top if h == max_h else "below" for h in heights]
-        return [((atype, held, max_h, heights[cell], rel[cell], direction),)
-                for atype, cell, direction in self._decoded]
+        signature = (held, max_h, heights.count(max_h) == 1)
+        table = self._feature_tables.get(signature)
+        if table is None:
+            table = self._feature_tables[signature] = self._feature_table(*signature)
+        return list(map(getitem, table, self._action_heights(heights)))
+
+    def _feature_table(self, held: int, max_h: int, unique: bool) -> list[list[tuple]]:
+        """Per action id, the feature tuple of each target height 0..max_h."""
+        top = "lone_max" if unique else "tied_max"
+        rel = ["empty" if h == 0 else top if h == max_h else "below" for h in range(max_h + 1)]
+        return [[((atype, held, max_h, h, rel[h], direction),) for h in range(max_h + 1)]
+                for atype, _cell, direction in self._decoded]
 
     # -- metrics ----------------------------------------------------------
 

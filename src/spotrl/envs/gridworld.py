@@ -45,6 +45,24 @@ GAP_ROWS = (4, 5)
 GridState = tuple  # (x, y, heading, layout key) — pose plus the full observable grid
 
 
+class LayoutKey(tuple):
+    """(interior walls, lava cells): a plain tuple that hashes once.
+
+    Every Q-table read and mask lookup hashes a state, and with it this
+    nested key; a tuple does not cache its hash, so this one keeps it. Its
+    hash, ``==`` and ``repr`` are those of the plain tuple, so a key parsed
+    back from a dump finds the same entries.
+    """
+
+    def __new__(cls, items):
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class GenerationError(RuntimeError):
     """Layout generation produced an unsolvable grid."""
 
@@ -151,7 +169,7 @@ class GridWorld:
             return None
         return dist, self._compute_layout_key(), self._shortest_pose_path()
 
-    def _compute_layout_key(self) -> tuple[tuple, tuple]:
+    def _compute_layout_key(self) -> LayoutKey:
         """(interior walls, lava cells), each sorted — the observable layout."""
         walls = []
         lavas = []
@@ -161,7 +179,7 @@ class GridWorld:
                     walls.append((x, y))
                 elif self.cells[y][x] == LAVA:
                     lavas.append((x, y))
-        return (tuple(sorted(walls)), tuple(sorted(lavas)))
+        return LayoutKey((tuple(sorted(walls)), tuple(sorted(lavas))))
 
     # -- geometry ---------------------------------------------------------
 

@@ -37,7 +37,6 @@ import os
 import random
 import traceback
 from dataclasses import dataclass, field, fields as dataclass_fields
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -771,6 +770,9 @@ def run_sweep(spec: ExperimentSpec) -> tuple[int, list[dict]]:
     rcs = spec.run_configs()
     workers = spec.workers or min(len(rcs), os.cpu_count() or 1)
     if workers > 1 and len(rcs) > 1:
+        # Imported here: multiprocessing adds ~15 ms to importing this module.
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(workers) as pool:
             outcomes = pool.map(_run_single_safe, rcs)
     else:

@@ -15,6 +15,10 @@ Reads come in two shapes: ``value(state, a)`` is one entry, and
 bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
 (greedy picks, ``best_value``, the SPOT-Q recomputation) reads one row, so a
 state is looked up or featurized once per scan rather than once per action.
+``LinearQ`` also keeps the features of its last few featurized states, so
+the handful of states one training action reads are featurized once, and
+when every action has one feature a row is one gather from a flat list of
+weights indexed by feature id.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
 and return the value they blended from, the same float ``value()`` read
@@ -24,6 +28,7 @@ loss) makes one call instead of a read and then an update.
 from __future__ import annotations
 
 import ast
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 
@@ -106,6 +111,10 @@ class TabularQ(QFunction):
 # state -> one tuple of hashable feature keys per action id.
 Featurizer = Callable[[Hashable], Sequence[tuple[Hashable, ...]]]
 
+# How many featurized states a LinearQ keeps. A training action reads its
+# own state, a replayed pair and the next state; four covers that cycle.
+MEMO_STATES = 4
+
 
 class LinearQ(QFunction):
     """Q(state, action) = mean of weights of the active indicator features.
@@ -113,12 +122,12 @@ class LinearQ(QFunction):
     The featurizer maps a state to the feature tuples of all its actions at
     once, indexed by action id; each feature key owns one weight. It must be
     pure (the same state always gives the same features), because the
-    features of the most recently featurized state are kept and reused
-    while the state repeats; weights are never cached, so reads always see
-    the latest update. With a single joint feature per action this behaves
-    exactly like a table over the feature space, which is how the block
-    world uses it (the feature key abstracts away block-interchangeable
-    detail). Unseen weights read 0.
+    features of the last :data:`MEMO_STATES` featurized states are kept and
+    reused while those states recur; weights are never cached, so reads
+    always see the latest update. With a single joint feature per action
+    this behaves exactly like a table over the feature space, which is how
+    the block world uses it (the feature key abstracts away
+    block-interchangeable detail). Unseen weights read 0.
     """
 
     kind = "linear"
@@ -126,51 +135,73 @@ class LinearQ(QFunction):
     def __init__(self, n_actions: int, featurize: Featurizer):
         self.n_actions = n_actions
         self.featurize = featurize
+        # Every written (or loaded) weight: the source of records() and len().
         self._weights: dict[Hashable, float] = {}
-        # (state, its features, lone keys) of the last featurized state, where
-        # lone keys lists each action's only feature when every action has
-        # exactly one, else None. Swapped in one assignment, so a reader never
-        # pairs one state with another state's features.
-        self._memo: Optional[tuple[Hashable, Sequence[tuple[Hashable, ...]],
-                                   Optional[list[Hashable]]]] = None
+        # Each feature key met as an action's only feature gets an id, and
+        # _flat[id] is 0.0 + its weight: the float value() reads for a
+        # one-feature mean, -0.0 weights included. Ids are never reassigned.
+        self._ids: dict[Hashable, int] = {}
+        self._flat: list[float] = []
+        # state -> (its features, and when every action has exactly one
+        # feature an itemgetter of their ids, which reads the row from _flat;
+        # else None), for the last MEMO_STATES featurized states, oldest first.
+        self._memo: dict[Hashable, tuple[Sequence[tuple[Hashable, ...]], Optional[Callable]]] = {}
 
     def _featurized(self, state: Hashable):
-        memo = self._memo
-        if memo is None or memo[0] != state:
+        entry = self._memo.get(state)
+        if entry is None:
             feats = self.featurize(state)
-            lone = [f[0] for f in feats] if set(map(len, feats)) == {1} else None
-            memo = self._memo = (state, feats, lone)
-        return memo
+            pick = None
+            if set(map(len, feats)) == {1}:
+                keys = [f[0] for f in feats]
+                ids = list(map(self._ids.get, keys))
+                if None in ids:
+                    ids = list(map(self._id, keys))
+                # itemgetter of a single index returns the bare item, not a tuple.
+                pick = itemgetter(*ids) if len(ids) > 1 else lambda flat, i=ids[0]: (flat[i],)
+            memo = self._memo
+            if len(memo) == MEMO_STATES:
+                del memo[next(iter(memo))]
+            entry = memo[state] = (feats, pick)
+        return entry
 
-    def _features(self, state: Hashable) -> Sequence[tuple[Hashable, ...]]:
-        return self._featurized(state)[1]
+    def _id(self, key: Hashable) -> int:
+        """The id of a lone feature key, assigned on first sight."""
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self._flat)
+            self._flat.append(0.0 + self._weights.get(key, 0.0))
+        return i
 
     def value(self, state: Hashable, action_id: int) -> float:
-        feats = self._features(state)[action_id]
+        feats = self._featurized(state)[0][action_id]
         if not feats:
             return 0.0
         return sum(self._weights.get(f, 0.0) for f in feats) / len(feats)
 
     def row(self, state: Hashable) -> list[float]:
-        _, feats, lone = self._featurized(state)
+        feats, pick = self._featurized(state)
+        if pick is not None:
+            return list(pick(self._flat))
         get = self._weights.get
-        if lone is not None:
-            # A one-feature mean sum((w,)) / 1 is 0 + w: the same float as
-            # value() computes, -0.0 weights included, at a ninth of the cost
-            # of the general mean below.
-            return [0.0 + get(k, 0.0) for k in lone]
         return [sum(get(f, 0.0) for f in fs) / len(fs) if fs else 0.0 for fs in feats]
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
-        feats = self._features(state)[action_id]
+        feats = self._featurized(state)[0][action_id]
         if not feats:
             return 0.0
         weights = self._weights
         old = sum(weights.get(f, 0.0) for f in feats) / len(feats)
         step = lr * (target - old) / len(feats)
         for f in feats:
-            weights[f] = weights.get(f, 0.0) + step
+            self._write(f, weights.get(f, 0.0) + step)
         return old
+
+    def _write(self, key: Hashable, weight: float) -> None:
+        self._weights[key] = weight
+        i = self._ids.get(key)
+        if i is not None:
+            self._flat[i] = 0.0 + weight
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -184,7 +215,7 @@ class LinearQ(QFunction):
 
     def load_records(self, rows: Iterable[tuple[str, int, float]]) -> None:
         for key, _action, value in rows:
-            self._weights[ast.literal_eval(key)] = value
+            self._write(ast.literal_eval(key), value)
 
 
 def dump_qfunction(q: QFunction, header_fields: dict[str, str]) -> str:

@@ -8,6 +8,7 @@ definitions, and the replay/agent mirrors re-derive the sampling and update
 arithmetic from scratch.
 """
 
+import ast
 import hashlib
 import heapq
 import random
@@ -658,3 +659,40 @@ def reference_apply_update(e, q, mask_fn, cfg, alpha, tie_rng, reward=None):
     if t.masked_action is not None:
         q.update(e.state, t.masked_action, t.masked_target, alpha)
     return loss
+
+
+# ---------------------------------------------------------------------------
+# Linear Q reference (featurizes on every read, keeps nothing but weights)
+# ---------------------------------------------------------------------------
+
+
+class PlainLinearQ:
+    """A linear Q over indicator features with no memo and no id list: every
+    read featurizes the state afresh and averages the action's weights from
+    one dict. Unseen weights read 0, and an action without features reads 0
+    and ignores updates."""
+
+    def __init__(self, n_actions, featurize):
+        self.n_actions = n_actions
+        self.featurize = featurize
+        self.weights = {}
+
+    def value(self, state, action):
+        feats = self.featurize(state)[action]
+        if not feats:
+            return 0.0
+        return sum(self.weights.get(f, 0.0) for f in feats) / len(feats)
+
+    def row(self, state):
+        return [self.value(state, a) for a in range(self.n_actions)]
+
+    def update(self, state, action, target, lr):
+        old = self.value(state, action)
+        feats = self.featurize(state)[action]
+        for f in feats:
+            self.weights[f] = self.weights.get(f, 0.0) + lr * (target - old) / len(feats)
+        return old
+
+    def load_records(self, rows):
+        for key, _action, value in rows:
+            self.weights[ast.literal_eval(key)] = value

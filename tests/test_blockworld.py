@@ -510,3 +510,17 @@ def test_block_q_row_matches_value_bitwise(task, seed, steps, data):
     for state in states:
         assert [repr(v) for v in q.row(state)] == \
             [repr(q.value(state, a)) for a in range(env.n_actions)]
+
+
+@given(**WALKS)
+def test_feature_tables_stay_small_and_rows_fresh(task, seed, steps):
+    """The shared feature tables hold one entry per (held, tallest height,
+    tallest is unique) signature met, and each call returns a new list:
+    changing it leaves the next call's features as they were."""
+    env, states = walk_states(task, seed, steps)
+    for state in states:
+        feats = env.features(state)
+        feats[:] = [()] * len(feats)
+        assert env.features(state) == [block_feature_key(state, a, env.n_cells)
+                                       for a in range(env.n_actions)]
+        assert len(env._feature_tables) <= 2 * (env.num_blocks + 1) * 2

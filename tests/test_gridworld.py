@@ -14,6 +14,8 @@ from spotrl.envs.gridworld import (
     GridWorld,
 )
 
+from spotrl.qfunction import TabularQ, dump_qfunction, parse_qdump
+
 from oracles import cell_distance_field, grid_mask, pose_graph_shortest
 
 OPEN_9X9 = "\n".join(
@@ -113,6 +115,36 @@ def test_a_layout_drawn_again_shares_its_layout_key():
             assert g.reset(seed)[3] is key
         first.setdefault(gaps, key)
     assert len(first) == len(GAP_ROWS) ** len(LAVA_COLUMNS)
+
+
+def test_layout_keys_hash_and_print_as_plain_tuples():
+    """A layout key hashes, compares and prints as the plain tuple it holds,
+    so a Q-table reloaded from a dump, whose keys are plain tuples, reads
+    the live env's states exactly as the table that wrote them."""
+    g = GridWorld()
+    rng = random.Random(0)
+    q = TabularQ(3)
+    states = []
+    for seed in range(20):
+        state = g.reset(seed)
+        plain = tuple(state[3])
+        assert type(plain) is tuple
+        assert hash(state[3]) == hash(plain)
+        assert state[3] == plain and plain == state[3]
+        assert repr(state[3]) == repr(plain)
+        assert hash(state) == hash(state[:3] + (plain,))
+        for _ in range(10):
+            if g.terminal:
+                break
+            states.append(state)
+            action = rng.choice([a for a, ok in enumerate(g.mask_for(state)) if ok])
+            q.update(state, action, rng.uniform(-1, 1), 0.5)
+            state, _, _ = g.step(action)
+    _, rows = parse_qdump(dump_qfunction(q, {}))
+    restored = TabularQ(3)
+    restored.load_records(rows)
+    for state in states:
+        assert repr(restored.row(state)) == repr(q.row(state))
 
 
 def test_reset_without_seed_surveys_the_current_cells():

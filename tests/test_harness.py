@@ -3,6 +3,9 @@ sweeps, and the command-line front-end."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -513,3 +516,26 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_a_parallel_sweep_writes_the_serial_table(tmp_path, capsys):
+    """Two worker processes give the same sweep table as one."""
+    args = ["sweep", "--env", "blockworld", "--cells", "none+base,mask+base",
+            "--seeds", "0,1", "--budget", "100", "--set", "eval_trials=2",
+            "--set", "validation_every=0", "--set", "log_steps=false"]
+    for workers in ("1", "2"):
+        assert main(args + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "1" / "sweep.csv").read_bytes() == \
+        (tmp_path / "2" / "sweep.csv").read_bytes()
+
+
+def test_importing_the_harness_leaves_multiprocessing_out():
+    """Only a parallel sweep needs multiprocessing, so importing the
+    harness (as every run does) does not pay for it."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, spotrl.harness; print(sorted({'multiprocessing', 'socket'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

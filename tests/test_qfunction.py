@@ -10,6 +10,8 @@ from spotrl.qfunction import (
     parse_qdump,
 )
 
+from oracles import PlainLinearQ
+
 
 def pair_features(state):
     """Two-feature featurizer used to exercise weight averaging."""
@@ -154,8 +156,9 @@ def test_linear_records_use_feature_keys():
 
 
 def test_linear_reuses_features_only_while_the_state_repeats():
-    """Featurizing is skipped for a repeated state, never the weights: reads
-    after an update, or for another state, are fresh."""
+    """Featurizing is skipped for a state among the last four featurized,
+    never the weights: reads after an update are fresh, and a fifth state
+    evicts the first featurized of the four, however recently it was read."""
     seen = []
 
     def featurize(state):
@@ -171,7 +174,66 @@ def test_linear_reuses_features_only_while_the_state_repeats():
     q.update("t", 0, -1.0, 1.0)
     assert q.value("t", 0) == -1.0
     assert q.row("s") == [0.0, 0.5]
-    assert seen == ["s", "t", "s"]
+    assert seen == ["s", "t"]
+    for state in ("u", "v", "s", "w", "t", "s"):
+        q.row(state)
+    assert seen == ["s", "t", "u", "v", "w", "s"]
+    assert q.row("s") == [0.0, 0.5]
+
+
+def one_action_features(state):
+    return [(("state", state % 3),)]
+
+
+def lone_or_mixed_features(state):
+    """One feature per action in even states; zero, one and two in odd ones,
+    where ("state", k) is one of two features, so an update there writes a
+    key that even states read alone."""
+    if state % 2:
+        return [(), (("bias",),), (("bias",), ("state", state % 4))]
+    return [(("bias",),), (("state", state % 4),), (("act", state),)]
+
+
+MEMO_CASES = {
+    "one-action": (1, one_action_features),
+    "lone-or-mixed": (3, lone_or_mixed_features),
+    "lone": (3, lambda state: [(("bias",),), (("state", state % 4),), (("act", state),)]),
+}
+MEMO_OPS = st.lists(st.one_of(
+    st.tuples(st.just("row"), st.integers(0, 7)),
+    st.tuples(st.just("value"), st.integers(0, 7), st.integers(0, 2)),
+    st.tuples(st.just("update"), st.integers(0, 7), st.integers(0, 2),
+              st.floats(-4, 4), st.floats(0, 1)),
+    st.tuples(st.just("zero"), st.integers(0, 7), st.integers(0, 2)),
+), max_size=60)
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+@given(ops=MEMO_OPS)
+def test_linear_matches_the_plain_reference(case, ops):
+    """Through more states than the memo holds, revisited, with updates and
+    -0.0 weights loaded in between, every row, value and update return is
+    the float a LinearQ without memo or id list gives."""
+    n_actions, featurize = MEMO_CASES[case]
+    q, ref = LinearQ(n_actions, featurize), PlainLinearQ(n_actions, featurize)
+    for op, state, *args in ops:
+        if op == "row":
+            assert [repr(v) for v in q.row(state)] == [repr(v) for v in ref.row(state)]
+            continue
+        action = args[0] % n_actions
+        if op == "value":
+            assert repr(q.value(state, action)) == repr(ref.value(state, action))
+        elif op == "update":
+            assert repr(q.update(state, action, *args[1:])) == \
+                repr(ref.update(state, action, *args[1:]))
+        else:
+            rows = [(repr(f), -1, -0.0) for f in featurize(state)[action]]
+            q.load_records(rows)
+            ref.load_records(rows)
+    assert [(k, a, repr(w)) for k, a, w in q.records()] == \
+        sorted((repr(f), -1, repr(w)) for f, w in ref.weights.items())
+    for state in range(8):
+        assert [repr(v) for v in q.row(state)] == [repr(v) for v in ref.row(state)]
 
 
 # -- rows -------------------------------------------------------------------

@@ -67,6 +67,10 @@ class BlockWorld:
         self._push_cells = itemgetter(*(cell for _, cell, _ in self._decoded[2 * self.n_cells:]))
         # Per-cell heights -> the target cell's height of every action.
         self._action_heights = itemgetter(*(cell for _, cell, _ in self._decoded))
+        # The cell indices of every row, then of every column.
+        rows = [[y * width + x for x in range(width)] for y in range(height)]
+        columns = [[y * width + x for y in range(height)] for x in range(width)]
+        self._lines = tuple(map(tuple, rows + columns))
         # (held, tallest height, tallest is unique) -> per action, the
         # feature tuple of each target height; built on a signature's first use.
         self._feature_tables: dict[tuple[int, int, bool], list[list[tuple]]] = {}
@@ -131,15 +135,15 @@ class BlockWorld:
 
     def _longest_run(self) -> int:
         """Longest run of consecutive height-1 cells along any row or column."""
+        heights = list(map(len, self.stacks))
         best = 0
-        lines = [[(x, y) for x in range(self.width)] for y in range(self.height)]
-        lines += [[(x, y) for y in range(self.height)] for x in range(self.width)]
-        for line in lines:
+        for line in self._lines:
             run = 0
-            for x, y in line:
-                if len(self.stacks[y * self.width + x]) == 1:
+            for cell in line:
+                if heights[cell] == 1:
                     run += 1
-                    best = max(best, run)
+                    if run > best:
+                        best = run
                 else:
                     run = 0
         return best
@@ -150,7 +154,8 @@ class BlockWorld:
         """Topple probability for placing onto a stack of height h."""
         return min(self.topple_base * (h - 1), 0.5)
 
-    def step(self, action: int) -> tuple[BlockState, StepOutcome]:
+    def step(self, action: int) -> tuple[BlockState, StepOutcome, None]:
+        """Returns (state, outcome, event); the event is always None here."""
         if self.terminal:
             raise RuntimeError("step on a terminal environment")
         atype, cell, direction = self.decode(action)
@@ -202,7 +207,7 @@ class BlockWorld:
             terminal=self.terminal,
             task_complete=task_complete,
         )
-        return self.state(), outcome
+        return self.state(), outcome, None
 
     def _topple(self, cell: int, extra: Optional[int] = None) -> None:
         """Scatter a stack (plus the held block, when a place caused it) to

@@ -3,9 +3,10 @@
 Two implementations share the interface:
 
 - :class:`TabularQ` — exact table over hashable states, the default for the
-  grid world's pose states and for tiny test MDPs. It stores one
-  ``{action: value}`` dict per state, so every read or update hashes the
-  state once, however many actions it touches.
+  grid world's pose states and for tiny test MDPs. It stores one list row
+  of every action's value per state, plus flags marking the actions that
+  were written, so every read or update hashes the state once, however
+  many actions it touches, and indexes the row by action id.
 - :class:`LinearQ` — linear value over indicator features produced by an
   injected per-state featurizer, for the block world where the exact
   occupancy space is too sparse to visit.
@@ -59,53 +60,66 @@ class QFunction:
 
 
 class TabularQ(QFunction):
-    """Exact Q-table over hashable state keys; unseen entries read 0.
+    """Exact Q-table over hashable state keys; unseen entries read ``initial``.
 
-    Stored as ``{state: {action: value}}`` holding only the entries that
-    were written (or loaded)."""
+    Stored as ``{state: (row, written)}``: ``row`` holds every action's
+    value, ``initial`` where never written, and ``written`` flags the
+    actions that were written (or loaded). Records and ``len()`` see only
+    the flagged entries, so a dump lists exactly what was written.
+    ``row`` returns a copy of the stored row; ``best_value`` takes its
+    maximum in place."""
 
     kind = "tabular"
 
     def __init__(self, n_actions: int, initial: float = 0.0):
         self.n_actions = n_actions
         self.initial = initial
-        self._table: dict[Hashable, dict[int, float]] = {}
+        self._table: dict[Hashable, tuple[list[float], list[bool]]] = {}
+
+    def _entry(self, state: Hashable) -> tuple[list[float], list[bool]]:
+        entry = self._table.get(state)
+        if entry is None:
+            n = self.n_actions
+            entry = self._table[state] = ([self.initial] * n, [False] * n)
+        return entry
 
     def value(self, state: Hashable, action_id: int) -> float:
-        entries = self._table.get(state)
-        return self.initial if entries is None else entries.get(action_id, self.initial)
+        entry = self._table.get(state)
+        return self.initial if entry is None else entry[0][action_id]
 
     def row(self, state: Hashable) -> list[float]:
-        entries = self._table.get(state)
-        initial = self.initial
-        if entries is None:
-            return [initial] * self.n_actions
-        get = entries.get
-        return [get(a, initial) for a in range(self.n_actions)]
+        entry = self._table.get(state)
+        if entry is None:
+            return [self.initial] * self.n_actions
+        return entry[0][:]
+
+    def best_value(self, state: Hashable) -> float:
+        entry = self._table.get(state)
+        return self.initial if entry is None else max(entry[0])
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
-        entries = self._table.get(state)
-        if entries is None:
-            entries = self._table[state] = {}
-        old = entries.get(action_id, self.initial)
-        entries[action_id] = old + lr * (target - old)
+        row, written = self._table.get(state) or self._entry(state)
+        old = row[action_id]
+        row[action_id] = old + lr * (target - old)
+        written[action_id] = True
         return old
 
     def __len__(self) -> int:
-        return sum(map(len, self._table.values()))
+        return sum(sum(written) for _, written in self._table.values())
 
     def records(self) -> list[tuple[str, int, float]]:
         rows = []
-        for state, entries in self._table.items():
+        for state, (values, written) in self._table.items():
             key = repr(state)
-            rows.extend((key, action, value) for action, value in entries.items())
+            rows.extend((key, a, values[a]) for a, w in enumerate(written) if w)
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 
     def load_records(self, rows: Iterable[tuple[str, int, float]]) -> None:
-        table = self._table
         for key, action, value in rows:
-            table.setdefault(ast.literal_eval(key), {})[int(action)] = value
+            values, written = self._entry(ast.literal_eval(key))
+            values[int(action)] = value
+            written[int(action)] = True
 
 
 # state -> one tuple of hashable feature keys per action id.

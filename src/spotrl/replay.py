@@ -16,6 +16,14 @@ Trial-level reward kinds (``trial_sr``, ``trial_progress``,
 only become sample-eligible once their trial is finalized; the instant
 kinds are eligible as soon as they are pushed.
 
+Ranking and training can use different rewards: once its trial is
+finalized, an instant-kind sample is ranked by its backfilled trial reward
+but still trains on its instant reward. The rule stays because acceptance
+criterion 7 pins the whole pipeline to an independently written corridor
+learner that re-keys surprises at finalization; ranking instant kinds by
+the reward they train on would change which samples replay and break that
+equivalence.
+
 The buffer is append-only up to capacity; eviction removes whole trials,
 oldest first, so backfilled rewards stay coherent.
 """
@@ -301,5 +309,12 @@ def train_step(
     last = buf.last_pushed
     if last is None:
         raise EmptyBufferError("buffer has never been pushed to")
-    idx = buf.sample(rng, last.action_type, last.success)
-    return apply_update(buf._entries[idx], q, mask_fn, cfg, alpha, tie_rng)
+    e = buf._entries[buf.sample(rng, last.action_type, last.success)]
+    if mask_fn is not None:
+        return apply_update(e, q, mask_fn, cfg, alpha, tie_rng)
+    # No mask, no extra target: apply_update's executed target and update
+    # inline, the same arithmetic without building SpotQTargets.
+    target = training_reward(e, cfg)
+    if not e.terminal:
+        target += cfg.learn_discount * q.best_value(e.next_state)
+    return huber_loss(q.update(e.state, e.action_id, target, alpha), target)

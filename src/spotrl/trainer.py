@@ -97,15 +97,6 @@ class StepTrace:
     progress: float
 
 
-def step_env(env, action: int):
-    """Uniform (state, outcome, event) view over both environments."""
-    result = env.step(action)
-    if len(result) == 3:
-        return result
-    state, outcome = result
-    return state, outcome, None
-
-
 def select_action(
     q: QFunction,
     state,
@@ -175,7 +166,7 @@ def run_greedy_trial(q, env, use_mask: bool, rng: random.Random) -> TrialRecord:
         action = masked_argmax(q, state, mask, rng)
         if use_mask:
             check_allowed(mask, action)
-        state, outcome, event = step_env(env, action)
+        state, outcome, event = env.step(action)
         steps += 1
         attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
         if outcome.success:
@@ -250,7 +241,7 @@ def run_training(
                 check_allowed(mask, action)
             masked_flag = masked_policy_flag(q, state, mask) if mask is not None else False
             predicted = q.value(state, action)
-            next_state, outcome, event = step_env(env, action)
+            next_state, outcome, event = env.step(action)
 
             reward = env.instant_reward_override(outcome, rcfg.reward_kind)
             if reward is None:

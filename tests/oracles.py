@@ -363,7 +363,7 @@ class ChainEnv:
             terminal=terminal,
             task_complete=complete,
         )
-        return self.pos, outcome
+        return self.pos, outcome, None
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +585,29 @@ def block_feature_key(state, action, n_cells):
     else:
         rel = "below"
     return ((atype, held, max_h, tgt_h, rel, direction),)
+
+
+# ---------------------------------------------------------------------------
+# Block-world longest run (coordinate lines rebuilt on every call)
+# ---------------------------------------------------------------------------
+
+
+def longest_run(env):
+    """Longest run of consecutive height-1 cells along any row or column,
+    scanning (x, y) coordinate lines that are built afresh on every call and
+    reading each cell's stack as it goes."""
+    best = 0
+    lines = [[(x, y) for x in range(env.width)] for y in range(env.height)]
+    lines += [[(x, y) for y in range(env.height)] for x in range(env.width)]
+    for line in lines:
+        run = 0
+        for x, y in line:
+            if len(env.stacks[y * env.width + x]) == 1:
+                run += 1
+                best = max(best, run)
+            else:
+                run = 0
+    return best
 
 
 # ---------------------------------------------------------------------------

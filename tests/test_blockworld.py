@@ -12,6 +12,7 @@ from oracles import (
     ScriptedRandom,
     block_feature_key,
     block_mask,
+    longest_run,
     shortest_stack_plan_length,
     task_done,
 )
@@ -102,11 +103,30 @@ def test_row_progress_counts_longest_run():
     assert world(doubled, task="row").progress() == 0.25  # a 2-stack breaks the run
 
 
+@given(seed=st.integers(0, 2**16), steps=st.integers(0, 80),
+       board=st.sampled_from([(4, 4, 4), (5, 3, 5)]))
+def test_longest_run_matches_the_line_scan_oracle(seed, steps, board):
+    """On random row-task walks (any action, so failures and topples too),
+    the precomputed-line run equals the per-call coordinate scan, on the
+    square board and on a wide one."""
+    width, height, num_blocks = board
+    env = BlockWorld(task="row", width=width, height=height, num_blocks=num_blocks)
+    rng = random.Random(seed)
+    env.reset(seed)
+    for _ in range(steps):
+        assert env._longest_run() == longest_run(env)
+        if env.terminal:
+            env.reset(rng.randrange(1 << 30))
+        else:
+            env.step(rng.randrange(env.n_actions))
+    assert env._longest_run() == longest_run(env)
+
+
 def test_clear_progress_counts_removed():
     env = BlockWorld(task="clear")
     env.reset(0)
     occupied = [c for c in range(16) if env.stacks[c]]
-    _, outcome = env.step(occupied[0])  # grasp banks the block directly
+    _, outcome, _ = env.step(occupied[0])  # grasp banks the block directly
     assert outcome.success
     assert env.progress() == 0.25
     assert env.state()[0] == 0  # the gripper stays free on the clear task
@@ -121,7 +141,7 @@ def test_completion_matches_predicate_oracles():
         rng = random.Random(hash(task) & 0xFFFF)
         env.reset(rng.randrange(2 ** 31))
         for _ in range(4000):
-            _, outcome = env.step(rng.randrange(env.n_actions))
+            _, outcome, _ = env.step(rng.randrange(env.n_actions))
             assert (env.progress() == 1.0) == task_done(env)
             assert outcome.task_complete == task_done(env)
             if env.terminal:
@@ -151,14 +171,14 @@ def test_block_conservation_under_fuzz():
 
 def test_grasp_takes_top_block():
     env = world(TWO_STACK)
-    _, outcome = env.step(0)  # grasp cell (0, 0)
+    _, outcome, _ = env.step(0)  # grasp cell (0, 0)
     assert outcome.success
     assert env.gripper == 1  # the top of [0, 1]
     assert env.stacks[0] == [0]
-    _, outcome = env.step(2)  # grasp with a full gripper fails
+    _, outcome, _ = env.step(2)  # grasp with a full gripper fails
     assert not outcome.success
     env2 = world(TWO_STACK)
-    _, outcome = env2.step(5)  # grasp an empty cell fails
+    _, outcome, _ = env2.step(5)  # grasp an empty cell fails
     assert not outcome.success
 
 
@@ -178,7 +198,7 @@ def test_place_branches():
     env = world(TWO_STACK)
     env.step(2)
     env.rng = ScriptedRandom([0.9])
-    _, outcome = env.step(16 + 0)  # place onto the 2-stack at (0, 0)
+    _, outcome, _ = env.step(16 + 0)  # place onto the 2-stack at (0, 0)
     assert outcome.success
     assert env.stacks[0] == [0, 1, 2]
     assert outcome.progress_after == 0.75
@@ -187,7 +207,7 @@ def test_place_branches():
     env = world(TWO_STACK)
     env.step(2)
     env.rng = ScriptedRandom([0.05])
-    _, outcome = env.step(16 + 0)
+    _, outcome, _ = env.step(16 + 0)
     assert not outcome.success
     assert env.stacks[0] == []
     assert env.gripper is None
@@ -202,20 +222,20 @@ def test_place_branches():
     env = world(TWO_STACK)
     env.step(2)
     env.rng = ScriptedRandom([])
-    _, outcome = env.step(16 + 15)  # place onto the singleton at (3, 3)
+    _, outcome, _ = env.step(16 + 15)  # place onto the singleton at (3, 3)
     assert env.stacks[15] == [3, 2]  # a second 2-stack: progress still 0.5
     assert not outcome.success
     env = world(TWO_STACK)
     env.step(2)
     env.rng = ScriptedRandom([])
-    _, outcome = env.step(16 + 5)  # place onto an empty cell: no gain
+    _, outcome, _ = env.step(16 + 5)  # place onto an empty cell: no gain
     assert not outcome.success
     assert env.stacks[5] == [2]
 
 
 def test_place_without_block_fails():
     env = world(TWO_STACK)
-    _, outcome = env.step(16 + 5)
+    _, outcome, _ = env.step(16 + 5)
     assert not outcome.success
     assert env.stacks[5] == []
 
@@ -223,7 +243,7 @@ def test_place_without_block_fails():
 def test_push_topples_tall_stacks():
     env = world(TWO_STACK)
     env.rng = ScriptedRandom([])  # deterministic: tall pushes always topple
-    _, outcome = env.step(32 + 4 * 0 + 1)  # push the 2-stack eastward
+    _, outcome, _ = env.step(32 + 4 * 0 + 1)  # push the 2-stack eastward
     assert outcome.success
     assert env.stacks[0] == []
     assert max(len(s) for s in env.stacks) == 1
@@ -231,26 +251,26 @@ def test_push_topples_tall_stacks():
 
 def test_push_moves_single_blocks():
     env = world(TWO_STACK)
-    _, outcome = env.step(32 + 4 * 2 + 1)  # push (2,0) east into empty (3,0)
+    _, outcome, _ = env.step(32 + 4 * 2 + 1)  # push (2,0) east into empty (3,0)
     assert outcome.success
     assert env.stacks[2] == [] and env.stacks[3] == [2]
-    _, outcome = env.step(32 + 4 * 15 + 1)  # push (3,3) east: off the board
+    _, outcome, _ = env.step(32 + 4 * 15 + 1)  # push (3,3) east: off the board
     assert not outcome.success
     assert env.stacks[15] == [3]
-    _, outcome = env.step(32 + 4 * 3 + 3)  # push (3,0) west into occupied? (2,0) empty now
+    _, outcome, _ = env.step(32 + 4 * 3 + 3)  # push (3,0) west into occupied? (2,0) empty now
     assert outcome.success
 
 
 def test_push_failure_cases():
     env = world(TWO_STACK)
-    _, outcome = env.step(32 + 4 * 5)  # push an empty cell
+    _, outcome, _ = env.step(32 + 4 * 5)  # push an empty cell
     assert not outcome.success
     env.step(2)  # fill the gripper
-    _, outcome = env.step(32 + 4 * 15)  # push while holding
+    _, outcome, _ = env.step(32 + 4 * 15)  # push while holding
     assert not outcome.success
     # Push into an occupied neighbour fails.
     env = world("cell 0 0: 0\ncell 1 0: 1\ncell 2 2: 2\ncell 3 3: 3\ngripper: empty")
-    _, outcome = env.step(32 + 4 * 0 + 1)
+    _, outcome, _ = env.step(32 + 4 * 0 + 1)
     assert not outcome.success
     assert env.stacks[0] == [0] and env.stacks[1] == [1]
 
@@ -282,7 +302,7 @@ def test_action_limits_by_task():
 def test_limit_terminates_incomplete():
     env = world(TWO_STACK, action_limit=2)
     env.step(5)  # failed grasps still consume the budget
-    _, outcome = env.step(5)
+    _, outcome, _ = env.step(5)
     assert outcome.terminal and not outcome.task_complete
     with pytest.raises(RuntimeError):
         env.step(0)
@@ -292,7 +312,7 @@ def test_completion_terminates():
     env = world("cell 1 1: 0 1 2\ncell 2 1: 3\ngripper: empty")
     env.step(6)  # grasp (2, 1)
     env.rng = ScriptedRandom([0.9])  # survive the place onto height 3
-    _, outcome = env.step(16 + 5)
+    _, outcome, _ = env.step(16 + 5)
     assert outcome.task_complete and outcome.terminal
     assert env.progress() == 1.0
 
@@ -341,7 +361,7 @@ def test_masked_actions_always_fail():
                 continue
             probe = BlockWorld.from_text(text)
             before = probe.state()
-            _, outcome = probe.step(action)
+            _, outcome, _ = probe.step(action)
             assert not outcome.success
             assert probe.state() == before
         # Walk one random (unmasked) action onward; reset when done.
@@ -379,7 +399,7 @@ def test_six_action_plan_completes_on_the_real_env():
     actions = 0
     for cell in sources:
         for action in (cell, 16 + target):
-            _, outcome = env.step(action)
+            _, outcome, _ = env.step(action)
             assert outcome.success
             actions += 1
     assert actions == 6
@@ -448,7 +468,7 @@ def walk_states(task, seed, steps):
             state = env.reset(rng.randrange(1 << 30))
         else:
             allowed = [a for a, ok in enumerate(env.mask_for(state)) if ok]
-            state, _ = env.step(rng.choice(allowed))
+            state, _, _ = env.step(rng.choice(allowed))
         states.append(state)
     return env, states
 

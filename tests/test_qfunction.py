@@ -79,9 +79,13 @@ TABLE_UPDATES = st.lists(st.tuples(st.sampled_from(TABLE_STATES), st.integers(0,
 
 
 def flat_table(updates, initial):
-    """The same updates applied to one flat {(state, action): value} dict."""
+    """The same updates applied to one flat {(state, action): value} dict;
+    an update whose lr is None loads its target as the value."""
     table = {}
     for state, action, target, lr in updates:
+        if lr is None:
+            table[(state, action)] = target
+            continue
         old = table.get((state, action), initial)
         table[(state, action)] = old + lr * (target - old)
     return table
@@ -101,6 +105,43 @@ def test_tabular_stores_exactly_the_written_entries(updates, initial):
     assert [(k, a, repr(v)) for k, a, v in q.records()] == \
         [(k, a, repr(v)) for k, a, v in expected]
     assert len(q) == len(flat)
+
+
+# An update (state, action, target, lr), or a load (state, action, value, None).
+TABLE_OPS = st.lists(
+    st.tuples(st.sampled_from(TABLE_STATES), st.integers(0, 3), st.floats(-4, 4),
+              st.floats(0, 1))
+    | st.tuples(st.sampled_from(TABLE_STATES), st.integers(0, 3),
+                st.sampled_from((0.0, -0.0, 0.4, -1.5)), st.none()),
+    max_size=40)
+
+
+@given(ops=TABLE_OPS, initial=st.sampled_from((0.0, -0.0, 0.4)))
+def test_tabular_reads_match_the_flat_table(ops, initial):
+    """row, value and best_value read what a flat (state, action) table
+    holds, float for float: unwritten actions at written states and unseen
+    states read ``initial``, -0.0 included; loads and updates mix."""
+    q = TabularQ(4, initial=initial)
+    for state, action, x, lr in ops:
+        if lr is None:
+            q.load_records([(repr(state), action, x)])
+        else:
+            q.update(state, action, x, lr)
+    flat = flat_table(ops, initial)
+    for state in TABLE_STATES + ("unseen",):
+        expected = [flat.get((state, a), initial) for a in range(4)]
+        assert repr(q.row(state)) == repr(expected)
+        assert [repr(q.value(state, a)) for a in range(4)] == list(map(repr, expected))
+        assert repr(q.best_value(state)) == repr(max(expected))
+    assert len(q) == len(flat)
+
+
+def test_tabular_row_is_a_copy():
+    q = TabularQ(2)
+    q.update("s", 0, 1.0, 1.0)
+    q.row("s")[0] = 5.0
+    q.row("unseen")[1] = 5.0
+    assert q.row("s") == [1.0, 0.0] and q.row("unseen") == [0.0, 0.0]
 
 
 @given(updates=TABLE_UPDATES)

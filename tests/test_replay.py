@@ -385,6 +385,80 @@ def test_train_step_anchors_filter_on_last_push():
     assert loss == 2.0 - 0.5  # huber of |0 - 2|
 
 
+# One pushed step: (state, next state), action, action type, success,
+# instant reward, terminal flag.
+TRAIN_STEPS = st.lists(
+    st.tuples(st.sampled_from([("s", "n"), ("n", "s"), ("s", "s")]), st.integers(0, 2),
+              st.sampled_from(["grasp", "place"]), st.booleans(),
+              st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.booleans()),
+    min_size=1, max_size=4)
+
+
+@given(
+    kind=st.sampled_from(["tabular-initial", "linear"]),
+    entries=st.dictionaries(st.tuples(st.sampled_from(["s", "n"]), st.integers(0, 2)),
+                            st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, 1.75]), max_size=6),
+    reward_kind=st.sampled_from(["base", "progress", "trial_sr", "trial_progress"]),
+    finished=TRAIN_STEPS,
+    open_trial=TRAIN_STEPS | st.just([]),
+    completed=st.booleans(),
+    seed=st.integers(0, 2**16),
+    alpha=st.sampled_from([0.3, 0.5, 1.0]),
+)
+def test_mask_free_train_step_matches_the_reference(kind, entries, reward_kind, finished,
+                                                    open_trial, completed, seed, alpha):
+    """Without a mask, train_step's inline target and single update give the
+    plain reference's loss and Q entries, float for float, and draw no tie.
+    The buffer holds one finalized trial and, possibly, one still open, so
+    instant kinds replay steps of both and trial kinds only the finalized."""
+    c = cfg(reward_kind, learn_discount=0.65)
+    buf = ReplayBuffer(c)
+    for trial, steps in enumerate((finished, open_trial)):
+        for i, ((state, next_state), action, atype, success, instant, terminal) in \
+                enumerate(steps):
+            buf.push(Experience(state=state, action_id=action, action_type=atype,
+                                instant_reward=instant, trial_reward=None, predicted_q=0.0,
+                                success=success, trial_id=trial, step_index=i,
+                                next_state=next_state, terminal=terminal))
+        if trial == 0:
+            buf.finalize_trial(0, completed)
+    last = buf.last_pushed
+    e = buf.get(buf.sample(random.Random(seed), last.action_type, last.success))
+    fast, ref = loaded_q(kind, entries), loaded_q(kind, entries)
+    loss = train_step(buf, fast, None, c, alpha, random.Random(seed), ForbiddenRandom())
+    expected = reference_apply_update(e, ref, None, c, alpha, ForbiddenRandom())
+    assert repr(loss) == repr(expected)
+    assert repr(fast.records()) == repr(ref.records())
+
+
+def test_finalized_instant_kind_ranks_by_trial_reward_trains_on_instant():
+    """After finalization an instant-kind sample is ranked by its backfilled
+    trial reward but trains on its instant reward."""
+    c = cfg("progress", trial_discount=0.65)
+    buf = ReplayBuffer(c)
+    # By instant reward, b is the most surprising (|1 - 2| against |0.5 - 0.5|).
+    a = Experience(state="a", action_id=0, action_type="grasp", instant_reward=0.5,
+                   trial_reward=None, predicted_q=0.5, success=True, trial_id=0,
+                   step_index=0, next_state="a'", terminal=True)
+    b = Experience(state="b", action_id=0, action_type="place", instant_reward=1.0,
+                   trial_reward=None, predicted_q=2.0, success=True, trial_id=0,
+                   step_index=1, next_state="b'", terminal=True)
+    buf.push(a)
+    buf.push(b)
+    q = TabularQ(1)
+    train_step(buf, q, None, c, 1.0, ScriptedRandom([0.99, 0.0]), ForbiddenRandom())
+    assert q.records() == [("'b'", 0, 1.0)]
+    # The completed trial backfills b to 2.0 (surprise 0) and a to
+    # 0.5 + 0.65 * 2.0 (surprise 1.3), so a now ranks first; the coin of
+    # 0.99 skips the type filter and the draw of 0 picks rank 0.
+    buf.finalize_trial(0, True)
+    assert (a.trial_reward, b.trial_reward) == (0.5 + 0.65 * 2.0, 2.0)
+    q = TabularQ(1)
+    loss = train_step(buf, q, None, c, 1.0, ScriptedRandom([0.99, 0.0]), ForbiddenRandom())
+    assert q.records() == [("'a'", 0, 0.5)]  # the instant reward, not 1.8
+    assert loss == 0.5 * 0.5 * 0.5
+
+
 def test_train_step_requires_a_push():
     buf = ReplayBuffer(cfg())
     with pytest.raises(EmptyBufferError):

@@ -22,7 +22,6 @@ from spotrl.trainer import (
     run_greedy_trial,
     run_training,
     select_action,
-    step_env,
 )
 
 from oracles import ChainEnv, CountingRandom
@@ -125,14 +124,18 @@ def test_select_action_exploration_draws():
     assert picks == {0, 1, 2}
 
 
-def test_step_env_normalizes_tuples():
+def test_every_env_step_returns_state_outcome_event():
     chain = ChainEnv()
     chain.reset(0)
-    state, outcome, event = step_env(chain, 1)
+    state, outcome, event = chain.step(1)
     assert event is None and outcome.success
     grid = GridWorld.generate(0)
-    state, outcome, event = step_env(grid, 1)
+    state, outcome, event = grid.step(1)
     assert event is None and not outcome.success
+    block = BlockWorld()
+    block.reset(0)
+    state, outcome, event = block.step(0)
+    assert event is None and state == block.state()
 
 
 def test_masked_policy_flag():

@@ -2,7 +2,7 @@
 propagation, and surprise-prioritized replay, plus two desk-scale
 environments and an ablation harness."""
 
-from .envs import BlockWorld, GridWorld, feature_key
+from .envs import BlockWorld, GridWorld
 from .qfunction import LinearQ, QFunction, TabularQ
 from .replay import Experience, ReplayBuffer, train_step
 from .rewards import (
@@ -39,7 +39,6 @@ __all__ = [
     "base_reward",
     "discounted_backfill",
     "evaluate",
-    "feature_key",
     "huber_loss",
     "instant_reward",
     "masked_argmax",

@@ -102,6 +102,10 @@ def cli_eval(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         q, fields = harness.load_qdump(model_path)
+        rc = harness.header_run_config(fields)
+    except ConfigError as exc:
+        print(f"error: model header: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, KeyError) as exc:
         print(f"error: cannot parse model file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -129,26 +133,15 @@ def cli_eval(args: argparse.Namespace) -> int:
             print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         try:
-            kwargs = {}
-            for key in ("task", "goal_size", "num_blocks"):
-                if key in fields:
-                    kwargs[key] = fields[key] if key == "task" else int(fields[key])
-            scenario = harness.FixedScenario(BlockWorld.from_text(scenario_text, **kwargs))
+            scenario = harness.FixedScenario(BlockWorld.from_text(
+                scenario_text, task=rc.task, goal_size=rc.goal_size,
+                num_blocks=rc.num_blocks))
         except (ValueError, RuntimeError) as exc:
             print(f"error: bad scenario file: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         env_factory = lambda: scenario
     else:
-        environment = fields.get("environment", "gridworld")
-        values = {"env": environment, "seed": fields.get("seed", "0")}
-        for key in ("task", "goal_size", "num_blocks"):
-            if key in fields:
-                values[key] = fields[key]
-        try:
-            env_factory = harness.resolve_run_config(values).make_env
-        except ConfigError as exc:
-            print(f"error: model header: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        env_factory = rc.make_env
 
     summary, trials = evaluate(q, env_factory, args.trials, seed=args.seed,
                                use_mask=use_mask)

@@ -1,4 +1,4 @@
-from .blockworld import BlockWorld, feature_key
+from .blockworld import BlockWorld
 from .gridworld import GridWorld
 
-__all__ = ["BlockWorld", "GridWorld", "feature_key"]
+__all__ = ["BlockWorld", "GridWorld"]

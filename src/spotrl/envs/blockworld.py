@@ -162,6 +162,7 @@ class BlockWorld:
         before = self.progress()
         stack = self.stacks[cell]
         success = False
+        placed = False
 
         if atype == GRASP:
             if self.gripper is None and stack:
@@ -179,7 +180,7 @@ class BlockWorld:
                 else:
                     stack.append(self.gripper)
                 self.gripper = None
-                success = self.progress() > before
+                placed = True
         else:  # PUSH
             if self.gripper is None and stack:
                 if len(stack) >= 2:
@@ -196,6 +197,8 @@ class BlockWorld:
                             success = True
 
         after = self.progress()
+        if placed:  # a place succeeds only if it advanced the task
+            success = after > before
         task_complete = after >= 1.0
         self.step_count += 1
         self.terminal = task_complete or self.step_count >= self.action_limit
@@ -253,9 +256,6 @@ class BlockWorld:
             return [False] * n + [True] * n + [False] * (4 * n)
         occupied = [h > 0 for h in heights]
         return [*occupied, *([False] * n), *self._push_cells(occupied)]
-
-    def mask(self) -> list[bool]:
-        return self.mask_for(self.state())
 
     # -- features ---------------------------------------------------------
 
@@ -331,8 +331,3 @@ class BlockWorld:
                 raise ValueError(f"unparseable state line {line!r}")
         env.removed = set(range(env.num_blocks)) - seen
         return env
-
-
-def feature_key(state: BlockState, action: int, env: BlockWorld) -> tuple:
-    """The features of one action: ``env.features(state)[action]``."""
-    return env.features(state)[action]

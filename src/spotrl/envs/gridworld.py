@@ -313,9 +313,6 @@ class GridWorld:
                         blocked.add((x, y, heading))
         return frozenset(blocked)
 
-    def mask(self) -> list[bool]:
-        return self.mask_for(self.state())
-
     # -- planning ---------------------------------------------------------
 
     def ideal_actions(self) -> int:

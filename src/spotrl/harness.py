@@ -2,8 +2,13 @@
 ablation sweeps over (mask, masked-target learning, reward kind) cells.
 
 Configuration is a flat ``key = value`` text file; command-line flags
-override file values. Each run (one cell, one seed) writes its artifacts to
-its own directory:
+override file values. Every ``RunConfig`` field is a config key of the same
+name, except that ``env`` sets ``environment``, ``cell`` sets the policy
+flags and reward kind, and ``weight.<action type>`` sets one entry of
+``weights``. A default shared by both environments is declared on its field;
+``GRIDWORLD_DEFAULTS``/``BLOCKWORLD_DEFAULTS`` hold only the reference
+ablations' values that differ. Each run (one cell, one seed) writes its
+artifacts to its own directory:
 
 - ``config.txt``     resolved flat config (re-parseable; reruns reproduce)
 - ``steps.csv``      per-step log: run_id, trial_id, step, action_type,
@@ -26,8 +31,7 @@ Cells are named by '+'-joined tokens: a policy token (``none`` — no mask;
 ``mask`` — masked action selection; ``spotq`` — mask plus the masked
 zero-reward training target) and a reward kind (``base``, ``sr``,
 ``progress``, ``trial_sr``, ``trial_progress``, ``discounted``), e.g.
-``spotq+trial_progress``. Per-environment defaults below reproduce the
-reference ablations; any field can be overridden per run.
+``spotq+trial_progress``.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import json
 import os
 import random
 import traceback
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -60,22 +64,16 @@ VALIDATION_COLUMNS = ("round", "actions", "completed", "trials")
 SWEEP_COLUMNS = ("SPOT-Q", "Mask", "Reward", "Trials%", "Efficiency%",
                  "Actions-to-convergence")
 
-# Per-environment defaults: the settings the reference ablations run at.
+# The reference ablations' settings that differ between the environments.
 GRIDWORLD_DEFAULTS = dict(
     budget=200_000,
     learning_rate=0.3,
     train_steps_per_action=8,
-    per_exponent=0.25,
     replay_capacity=50_000,
-    epsilon_start=0.5,
     epsilon_end=0.1,
     epsilon_decay_steps=100_000,
     validation_every=10_000,
-    validation_trials=30,
-    stop_on_convergence=True,
-    type_filter_prob=0.95,
     learn_discount=0.9,
-    trial_discount=0.65,
     weights={"forward": 1.0, "turn_left": 1.0, "turn_right": 1.0},
     eval_trials=200,
     eval_seed_offset=1_000,
@@ -84,17 +82,11 @@ BLOCKWORLD_DEFAULTS = dict(
     budget=20_000,
     learning_rate=0.2,
     train_steps_per_action=1,
-    per_exponent=0.25,
     replay_capacity=100_000,
-    epsilon_start=0.5,
     epsilon_end=0.05,
     epsilon_decay_steps=None,
     validation_every=2_000,
-    validation_trials=30,
-    stop_on_convergence=True,
-    type_filter_prob=0.95,
     learn_discount=0.65,
-    trial_discount=0.65,
     weights={"grasp": 1.0, "place": 2.5, "push": 0.5},
     eval_trials=100,
     eval_seed_offset=3_000,
@@ -177,77 +169,56 @@ def _parse_optional_int(text: str) -> Optional[int]:
     return int(text)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return [int(p) for p in parts]
-
-
 def _parse_str_list(text: str) -> list[str]:
     return [p for chunk in text.split(",") for p in chunk.split()]
 
 
-# key -> converter from config-file string; `cell`, `weights` and the sweep
-# keys get special handling in the resolvers.
-_SCALAR_KEYS: dict[str, Callable[[str], object]] = {
-    "env": str,
-    "task": str,
-    "seed": int,
-    "budget": int,
-    "out": str,
-    "learning_rate": float,
-    "train_steps_per_action": int,
-    "per_exponent": float,
-    "replay_capacity": int,
-    "epsilon_start": float,
-    "epsilon_end": float,
-    "epsilon_decay_steps": _parse_optional_int,
-    "validation_every": int,
-    "validation_trials": int,
-    "stop_on_convergence": _parse_bool,
-    "type_filter_prob": float,
-    "learn_discount": float,
-    "trial_discount": float,
-    "eval_trials": int,
-    "eval_seed_offset": int,
-    "log_steps": _parse_bool,
-    "action_limit": _parse_optional_int,
-    "goal_size": int,
-    "num_blocks": int,
-}
-_SWEEP_KEYS: dict[str, Callable[[str], object]] = {
-    "cells": _parse_str_list,
-    "seeds": _parse_int_list,
-    "workers": _parse_optional_int,
-}
+def _parse_int_list(text: str) -> list[int]:
+    return [int(p) for p in _parse_str_list(text)]
 
 
-@dataclass(frozen=True)
+# Config-file string -> value, by RunConfig field annotation.
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "Optional[int]": _parse_optional_int,
+}
+# RunConfig fields set by the `env`, `cell` and `weight.*` keys.
+_NON_KEY_FIELDS = ("environment", "use_mask", "use_spotq", "reward_kind", "weights")
+# Sweep-only keys, rejected in a run config.
+_SWEEP_KEYS = ("cells", "seeds", "workers")
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Fully resolved settings for one training run (one cell, one seed)."""
+    """Fully resolved settings for one training run (one cell, one seed).
+    Fields without a default come from the per-environment defaults."""
 
     environment: str
     use_mask: bool
     use_spotq: bool
     reward_kind: str
-    seed: int
+    seed: int = 0
     out: str
     budget: int
     learning_rate: float
     train_steps_per_action: int
-    per_exponent: float
+    per_exponent: float = 0.25
     replay_capacity: int
-    epsilon_start: float
+    epsilon_start: float = 0.5
     epsilon_end: float
     epsilon_decay_steps: Optional[int]
     validation_every: int
-    validation_trials: int
-    stop_on_convergence: bool
-    type_filter_prob: float
+    validation_trials: int = 30
+    stop_on_convergence: bool = True
+    type_filter_prob: float = 0.95
     learn_discount: float
-    trial_discount: float
-    weights: dict = field(default_factory=dict)
-    eval_trials: int = 100
-    eval_seed_offset: int = 0
+    trial_discount: float = 0.65
+    weights: dict
+    eval_trials: int
+    eval_seed_offset: int
     task: str = "stack"
     goal_size: int = 4
     num_blocks: int = 4
@@ -273,33 +244,16 @@ class RunConfig:
     def agent_config(self) -> AgentConfig:
         return AgentConfig(
             reward=self.reward_config(),
-            seed=self.seed,
             training_action_budget=self.budget,
-            epsilon_start=self.epsilon_start,
-            epsilon_end=self.epsilon_end,
-            epsilon_decay_steps=self.epsilon_decay_steps,
-            learning_rate=self.learning_rate,
-            train_steps_per_action=self.train_steps_per_action,
-            use_mask=self.use_mask,
-            use_spotq=self.use_spotq,
-            validation_every=self.validation_every,
-            validation_trials=self.validation_trials,
-            stop_on_convergence=self.stop_on_convergence,
-            replay_capacity=self.replay_capacity,
-            per_exponent=self.per_exponent,
-            type_filter_prob=self.type_filter_prob,
+            **{name: getattr(self, name) for name in _AGENT_FIELDS},
         )
 
     def make_env(self):
+        kwargs = {} if self.action_limit is None else {"action_limit": self.action_limit}
         if self.environment == "gridworld":
-            if self.action_limit is not None:
-                return GridWorld(action_limit=self.action_limit)
-            return GridWorld()
-        kwargs = dict(task=self.task, goal_size=self.goal_size,
-                      num_blocks=self.num_blocks)
-        if self.action_limit is not None:
-            kwargs["action_limit"] = self.action_limit
-        return BlockWorld(**kwargs)
+            return GridWorld(**kwargs)
+        return BlockWorld(task=self.task, goal_size=self.goal_size,
+                          num_blocks=self.num_blocks, **kwargs)
 
     def make_q(self) -> QFunction:
         env = self.make_env()
@@ -314,15 +268,24 @@ class RunConfig:
             "env": self.environment,
             "cell": self.cell,
         }
-        for f in dataclass_fields(self):
-            if f.name in ("environment", "use_mask", "use_spotq", "reward_kind",
-                          "weights"):
-                continue
-            value = getattr(self, f.name)
-            items[f.name] = "none" if value is None else str(value)
+        for key in _KEY_PARSERS:
+            value = getattr(self, key)
+            items[key] = "none" if value is None else str(value)
         for atype in sorted(self.weights):
             items[f"weight.{atype}"] = repr(self.weights[atype])
         return sorted(items.items())
+
+
+# Config key -> converter from its config-file string.
+_KEY_PARSERS: dict[str, Callable[[str], object]] = {
+    f.name: _CONVERTERS[f.type] for f in dataclass_fields(RunConfig)
+    if f.name not in _NON_KEY_FIELDS
+}
+# RunConfig fields a qtable.txt header records beside environment and cell.
+_HEADER_KEYS = ("seed", "task", "goal_size", "num_blocks")
+# AgentConfig fields that RunConfig holds under the same name.
+_AGENT_FIELDS = tuple(f.name for f in dataclass_fields(AgentConfig)
+                      if f.name not in ("reward", "training_action_budget"))
 
 
 def resolve_run_config(values: dict[str, str], base_out: Optional[str] = None) -> RunConfig:
@@ -331,7 +294,8 @@ def resolve_run_config(values: dict[str, str], base_out: Optional[str] = None) -
     ``values`` maps config keys to unparsed strings (from a config file
     and/or command-line overrides, already merged with flags winning).
     Unknown keys, unknown environments/cells/tasks, and unparseable values
-    raise ConfigError.
+    raise ConfigError. Without ``out`` (or ``base_out``) the run goes to
+    ``output_root() / run_id``.
     """
     values = dict(values)
     env_name = values.pop("env", "gridworld")
@@ -343,48 +307,49 @@ def resolve_run_config(values: dict[str, str], base_out: Optional[str] = None) -
 
     resolved: dict[str, object] = dict(defaults)
     weights = dict(resolved.pop("weights"))
-    trial_discount_set = "trial_discount" in values
     for key, raw in values.items():
-        if key.startswith("weight."):
-            atype = key[len("weight."):]
-            if not atype:
-                raise ConfigError("empty action type in weight override")
-            weights[atype] = float(raw)
-        elif key in _SCALAR_KEYS:
-            try:
-                resolved[key] = _SCALAR_KEYS[key](raw)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-        elif key in _SWEEP_KEYS:
-            raise ConfigError(f"{key!r} is a sweep setting, not a run setting")
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    if reward_kind == "discounted" and not trial_discount_set:
+        try:
+            if key.startswith("weight."):
+                atype = key[len("weight."):]
+                if not atype:
+                    raise ConfigError("empty action type in weight override")
+                weights[atype] = float(raw)
+            elif key in _KEY_PARSERS:
+                resolved[key] = _KEY_PARSERS[key](raw)
+            elif key in _SWEEP_KEYS:
+                raise ConfigError(f"{key!r} is a sweep setting, not a run setting")
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+    if reward_kind == "discounted" and "trial_discount" not in values:
         resolved["trial_discount"] = DISCOUNTED_KIND_TRIAL_DISCOUNT
-    if env_name == "blockworld" and resolved.get("task", "stack") not in TASKS:
-        raise ConfigError(f"unknown task {resolved['task']!r} (expected one of {TASKS})")
 
-    seed = int(resolved.pop("seed", 0))
     out = resolved.pop("out", None) or base_out
-    if out is None:
-        out = str(output_root() / f"{cell_label(use_mask, use_spotq, reward_kind)}-s{seed}")
-    task = resolved.pop("task", "stack")
-    try:
-        return RunConfig(
-            environment=env_name,
-            use_mask=use_mask,
-            use_spotq=use_spotq,
-            reward_kind=reward_kind,
-            seed=seed,
-            out=str(out),
-            weights=weights,
-            task=task,
-            **resolved,
-        )
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    rc = RunConfig(
+        environment=env_name,
+        use_mask=use_mask,
+        use_spotq=use_spotq,
+        reward_kind=reward_kind,
+        out=str(out or ""),
+        weights=weights,
+        **resolved,
+    )
+    if env_name == "blockworld" and rc.task not in TASKS:
+        raise ConfigError(f"unknown task {rc.task!r} (expected one of {TASKS})")
+    return rc if out else replace(rc, out=str(output_root() / rc.run_id))
+
+
+def header_run_config(fields: dict[str, str]) -> RunConfig:
+    """The run settings a qtable.txt header names (see qdump_header); every
+    other setting is the environment's default."""
+    values = {"env": fields.get("environment", "gridworld")}
+    for key in _HEADER_KEYS:
+        if key in fields:
+            values[key] = fields[key]
+    return resolve_run_config(values)
 
 
 # -- run artifacts --------------------------------------------------------
@@ -499,19 +464,13 @@ def run_single(rc: RunConfig) -> dict:
 
 
 def qdump_header(rc: RunConfig) -> dict[str, str]:
-    """Header fields stored in qtable.txt so eval can rebuild the setup.
-
-    Values must be single whitespace-free tokens (the header is one
-    space-separated line).
-    """
-    return {
-        "environment": rc.environment,
-        "task": rc.task,
-        "cell": rc.cell,
-        "seed": str(rc.seed),
-        "goal_size": str(rc.goal_size),
-        "num_blocks": str(rc.num_blocks),
-    }
+    """Header fields stored in qtable.txt so eval can rebuild the setup
+    (header_run_config). Values must be single whitespace-free tokens (the
+    header is one space-separated line)."""
+    header = {"environment": rc.environment, "cell": rc.cell}
+    for key in _HEADER_KEYS:
+        header[key] = str(getattr(rc, key))
+    return header
 
 
 def block_q(env: BlockWorld) -> LinearQ:
@@ -523,12 +482,7 @@ def load_qdump(path: Path) -> tuple[QFunction, dict[str, str]]:
     """Rebuild a Q-function (and its header fields) from a qtable.txt."""
     fields, rows = parse_qdump(path.read_text())
     if fields.get("kind") == "linear":
-        env = BlockWorld(
-            task=fields.get("task", "stack"),
-            goal_size=int(fields.get("goal_size", 4)),
-            num_blocks=int(fields.get("num_blocks", 4)),
-        )
-        q: QFunction = block_q(env)
+        q = header_run_config(fields).make_q()
     else:
         q = TabularQ(int(fields["n_actions"]))
     q.load_records(rows)
@@ -626,19 +580,15 @@ def resolve_experiment_spec(values: dict[str, str], base_out: Optional[str] = No
     if seeds_raw is None:
         raise ConfigError("a sweep needs 'seeds'")
     out = values.pop("out", None) or base_out or str(output_root() / "sweep")
-    workers = _parse_optional_int(values.pop("workers", "none"))
+    cells = tuple(parse_cell(tok) for tok in _parse_str_list(cells_raw))
     try:
-        cells = tuple(parse_cell(tok) for tok in _parse_str_list(cells_raw))
         seeds = tuple(_parse_int_list(seeds_raw))
-    except ConfigError:
-        raise
+        workers = _parse_optional_int(values.pop("workers", "none"))
     except ValueError as exc:
         raise ConfigError(f"bad sweep setting: {exc}") from None
     # Remaining keys are per-run overrides shared by every cell; validate
     # them now so a typo fails before any training starts.
-    for key, raw in values.items():
-        probe = {"env": env_name, key: raw}
-        resolve_run_config(probe)
+    resolve_run_config({**values, "env": env_name})
     return ExperimentSpec(
         environment=env_name,
         cells=cells,

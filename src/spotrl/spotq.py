@@ -64,10 +64,6 @@ class SpotQTargets:
         return f"SpotQTargets{self._fields()!r}"
 
 
-def allowed_actions(mask: ActionMask) -> list[int]:
-    return [a for a, ok in enumerate(mask) if ok]
-
-
 def masked_argmax(q: QFunction, state: Hashable, mask: ActionMask, tie_rng: random.Random) -> int:
     """Highest-valued allowed action; exact ties broken uniformly.
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from spotrl.envs.blockworld import TASKS, BlockWorld, feature_key
+from spotrl.envs.blockworld import TASKS, BlockWorld
 from spotrl.harness import block_q
 
 from oracles import (
@@ -331,7 +331,7 @@ def test_situation_removal_check_and_no_override():
 
 def test_mask_truth_table():
     env = world(TWO_STACK)
-    mask = env.mask()
+    mask = env.mask_for(env.state())
     occupied = {0, 2, 15}
     for c in range(16):
         assert mask[c] == (c in occupied)  # grasp
@@ -340,7 +340,7 @@ def test_mask_truth_table():
         cell = (a - 32) // 4
         assert mask[a] == (cell in occupied)  # push
     env.step(0)  # now holding a block
-    mask = env.mask()
+    mask = env.mask_for(env.state())
     assert not any(mask[:16])
     assert all(mask[16:32])  # placing anywhere is at least possible
     assert not any(mask[32:])
@@ -444,16 +444,16 @@ def test_feature_key_collapses_interchangeable_cells():
     env = BlockWorld()
     a = ((0, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0)), 0)
     b = ((0, (0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0)), 2)
-    assert feature_key(*a, env) == feature_key(*b, env)
-    assert len(feature_key(*a, env)) == 1
+    assert env.features(a[0])[a[1]] == env.features(b[0])[b[1]]
+    assert len(env.features(a[0])[a[1]]) == 1
 
     tall = (0, (2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
-    assert feature_key(tall, 0, env) != feature_key(tall, 1, env)  # max vs below
+    assert env.features(tall)[0] != env.features(tall)[1]  # max vs below
     tied = (0, (2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
-    assert feature_key(tied, 0, env) != feature_key(tall, 0, env)  # tied vs lone
+    assert env.features(tied)[0] != env.features(tall)[0]  # tied vs lone
     held = (1, tall[1])
-    assert feature_key(held, 16, env) != feature_key(tall, 16, env)
-    assert feature_key(tall, 32, env) != feature_key(tall, 33, env)  # direction
+    assert env.features(held)[16] != env.features(tall)[16]
+    assert env.features(tall)[32] != env.features(tall)[33]  # direction
 
 
 def walk_states(task, seed, steps):
@@ -471,6 +471,33 @@ def walk_states(task, seed, steps):
             state, _, _ = env.step(rng.choice(allowed))
         states.append(state)
     return env, states
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_step_computes_progress_at_most_twice(task):
+    """One progress() before the action and one after it, which a place's
+    success check reuses, on a random walk over allowed actions."""
+    env = BlockWorld(task=task)
+    calls = []
+    progress = env.progress
+
+    def counting_progress():
+        calls.append(None)
+        return progress()
+
+    env.progress = counting_progress
+    rng = random.Random(5)
+    state = env.reset(5)
+    places = 0
+    for _ in range(2000):
+        if env.terminal:
+            state = env.reset(rng.randrange(1 << 30))
+        action = rng.choice([a for a, ok in enumerate(env.mask_for(state)) if ok])
+        places += env.action_types[action] == "place"
+        calls.clear()
+        state, _, _ = env.step(action)
+        assert len(calls) <= 2
+    assert places or task == "clear"  # clearing banks grasped blocks
 
 
 def feature_cases(states):

@@ -311,11 +311,11 @@ def test_mask_blocks_walls_and_lava_only():
 #...#
 #####
 """)
-    assert g.mask() == [False, True, True]  # lava dead ahead
+    assert g.mask_for(g.state()) == [False, True, True]  # lava dead ahead
     g.step(TURN_RIGHT)  # face south: empty cell
-    assert g.mask() == [True, True, True]
+    assert g.mask_for(g.state()) == [True, True, True]
     g.step(TURN_RIGHT)  # face west: border wall
-    assert g.mask() == [False, True, True]
+    assert g.mask_for(g.state()) == [False, True, True]
 
 
 def _one_env_per_layout():
@@ -381,7 +381,7 @@ def test_masked_random_walk_never_enters_lava():
         g = GridWorld.generate(seed)
         rng = random.Random(seed)
         while True:
-            allowed = [a for a, ok in enumerate(g.mask()) if ok]
+            allowed = [a for a, ok in enumerate(g.mask_for(g.state())) if ok]
             _, outcome, event = g.step(rng.choice(allowed))
             assert event != "lava"
             assert g.cell(g.agent_x, g.agent_y) != "L"

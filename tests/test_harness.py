@@ -14,8 +14,8 @@ from spotrl import harness
 from spotrl.cli import main
 from spotrl.envs.blockworld import BlockWorld
 from spotrl.qfunction import LinearQ, TabularQ
-from spotrl.rewards import REWARD_KINDS, ConfigError
-from spotrl.trainer import TERMINATION_COMPLETE, TERMINATION_LIMIT, evaluate
+from spotrl.rewards import REWARD_KINDS, ConfigError, RewardConfig
+from spotrl.trainer import TERMINATION_COMPLETE, TERMINATION_LIMIT, AgentConfig, evaluate
 
 
 def read_csv(path):
@@ -128,6 +128,8 @@ def test_resolution_errors():
         harness.resolve_run_config({"cells": "none+base", "out": "x"})
     with pytest.raises(ConfigError):  # an override must name an action type
         harness.resolve_run_config({"weight.": "2.0", "out": "x"})
+    with pytest.raises(ConfigError):
+        harness.resolve_run_config({"weight.place": "heavy", "out": "x"})
 
 
 def test_weight_overrides_merge():
@@ -154,6 +156,148 @@ def test_flat_items_round_trip():
     })
     rebuilt = harness.resolve_run_config(dict(rc.flat_items()))
     assert rebuilt == rc
+
+
+# config.txt as run_single writes it, for two configs; the text was
+# recorded before RunConfig became the one declaration of the run settings.
+GOLDEN_CONFIGS = [
+    ({"out": "x"}, """\
+action_limit = none
+budget = 200000
+cell = none+base
+env = gridworld
+epsilon_decay_steps = 100000
+epsilon_end = 0.1
+epsilon_start = 0.5
+eval_seed_offset = 1000
+eval_trials = 200
+goal_size = 4
+learn_discount = 0.9
+learning_rate = 0.3
+log_steps = True
+num_blocks = 4
+out = x
+per_exponent = 0.25
+replay_capacity = 50000
+seed = 0
+stop_on_convergence = True
+task = stack
+train_steps_per_action = 8
+trial_discount = 0.65
+type_filter_prob = 0.95
+validation_every = 10000
+validation_trials = 30
+weight.forward = 1.0
+weight.turn_left = 1.0
+weight.turn_right = 1.0
+"""),
+    ({"env": "blockworld", "cell": "spotq+trial_progress", "seed": "7", "task": "row",
+      "weight.place": "1.75", "weight.poke": "0.25", "epsilon_decay_steps": "none",
+      "log_steps": "false", "out": "x"}, """\
+action_limit = none
+budget = 20000
+cell = spotq+trial_progress
+env = blockworld
+epsilon_decay_steps = none
+epsilon_end = 0.05
+epsilon_start = 0.5
+eval_seed_offset = 3000
+eval_trials = 100
+goal_size = 4
+learn_discount = 0.65
+learning_rate = 0.2
+log_steps = False
+num_blocks = 4
+out = x
+per_exponent = 0.25
+replay_capacity = 100000
+seed = 7
+stop_on_convergence = True
+task = row
+train_steps_per_action = 1
+trial_discount = 0.65
+type_filter_prob = 0.95
+validation_every = 2000
+validation_trials = 30
+weight.grasp = 1.0
+weight.place = 1.75
+weight.poke = 0.25
+weight.push = 0.5
+"""),
+]
+
+
+@pytest.mark.parametrize("values,text", GOLDEN_CONFIGS)
+def test_config_text_matches_the_recorded_bytes(values, text):
+    rc = harness.resolve_run_config(values)
+    assert "".join(f"{key} = {value}\n" for key, value in rc.flat_items()) == text
+
+
+# A value different from both environments' defaults for every flat config
+# key apart from env and weight.<type>.
+NON_DEFAULT = {
+    "action_limit": "17", "budget": "321", "cell": "mask+trial_sr",
+    "epsilon_decay_steps": "4321", "epsilon_end": "0.125", "epsilon_start": "0.375",
+    "eval_seed_offset": "77", "eval_trials": "9", "goal_size": "3",
+    "learn_discount": "0.5", "learning_rate": "0.0625", "log_steps": "False",
+    "num_blocks": "5", "out": "elsewhere", "per_exponent": "1.5",
+    "replay_capacity": "999", "seed": "11", "stop_on_convergence": "False",
+    "task": "row", "train_steps_per_action": "3", "trial_discount": "0.25",
+    "type_filter_prob": "0.5", "validation_every": "123", "validation_trials": "7",
+}
+
+
+@pytest.mark.parametrize("env", harness.ENVIRONMENTS)
+def test_every_flat_key_round_trips_a_non_default_value(env):
+    """Each key, set alone, moves only its own flat item, and the flat
+    items resolve back to the same RunConfig; so do all keys at once."""
+    default = dict(harness.resolve_run_config({"env": env, "out": "x"}).flat_items())
+    assert set(NON_DEFAULT) == {k for k in default
+                                if k != "env" and not k.startswith("weight.")}
+    for key, raw in [*NON_DEFAULT.items(), ("weight.push", "0.125")]:
+        assert default.get(key) != raw
+        rc = harness.resolve_run_config({"env": env, "out": "x", key: raw})
+        flat = dict(rc.flat_items())
+        assert flat.pop(key) == raw
+        assert flat == {k: v for k, v in default.items() if k != key}
+        assert harness.resolve_run_config(dict(rc.flat_items())) == rc
+    rc = harness.resolve_run_config({"env": env, **NON_DEFAULT})
+    assert {k: v for k, v in rc.flat_items() if k in NON_DEFAULT} == NON_DEFAULT
+    assert harness.resolve_run_config(dict(rc.flat_items())) == rc
+
+
+def test_agent_config_maps_every_setting():
+    """agent_config() carries each reference default into the trainer's
+    config, none of them left at AgentConfig's own default."""
+    grid = harness.resolve_run_config({"out": "x"})
+    assert grid.agent_config() == AgentConfig(
+        reward=RewardConfig(weights={"forward": 1.0, "turn_left": 1.0, "turn_right": 1.0},
+                            trial_discount=0.65, learn_discount=0.9, reward_kind="base"),
+        seed=0, training_action_budget=200_000, epsilon_start=0.5, epsilon_end=0.1,
+        epsilon_decay_steps=100_000, learning_rate=0.3, train_steps_per_action=8,
+        use_mask=False, use_spotq=False, validation_every=10_000, validation_trials=30,
+        stop_on_convergence=True, replay_capacity=50_000, per_exponent=0.25,
+        type_filter_prob=0.95,
+    )
+    block = harness.resolve_run_config({"env": "blockworld", "cell": "spotq+trial_progress",
+                                        "seed": "3", "out": "x"})
+    assert block.agent_config() == AgentConfig(
+        reward=RewardConfig(weights={"grasp": 1.0, "place": 2.5, "push": 0.5},
+                            trial_discount=0.65, learn_discount=0.65,
+                            reward_kind="trial_progress"),
+        seed=3, training_action_budget=20_000, epsilon_start=0.5, epsilon_end=0.05,
+        epsilon_decay_steps=None, learning_rate=0.2, train_steps_per_action=1,
+        use_mask=True, use_spotq=True, validation_every=2_000, validation_trials=30,
+        stop_on_convergence=True, replay_capacity=100_000, per_exponent=0.25,
+        type_filter_prob=0.95,
+    )
+
+
+def test_per_environment_defaults_share_no_value():
+    """A value both environments use is a RunConfig field default instead."""
+    shared = harness.GRIDWORLD_DEFAULTS.keys() & harness.BLOCKWORLD_DEFAULTS.keys()
+    assert all(harness.GRIDWORLD_DEFAULTS[k] != harness.BLOCKWORLD_DEFAULTS[k]
+               for k in shared)
 
 
 def test_output_root_env_var(monkeypatch, tmp_path):
@@ -195,6 +339,8 @@ def test_experiment_spec_errors():
         harness.resolve_experiment_spec({**base, "seeds": "3 3"})
     with pytest.raises(ConfigError):  # override typos fail before training
         harness.resolve_experiment_spec({**base, "bugdet": "5"})
+    with pytest.raises(ConfigError):
+        harness.resolve_experiment_spec({**base, "workers": "many"})
 
 
 def test_summarize_cell_and_table_cells():
@@ -448,6 +594,71 @@ def test_cli_eval_fixed_scenario_replay(trained_run, tmp_path, capsys):
         outputs.append((payload["completion_rate"], payload["mean_efficiency"],
                         payload["success_rates"]))
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def trained_row_run(tmp_path_factory):
+    """A tiny row-task run whose qtable header holds non-default task,
+    goal size and block count."""
+    out = tmp_path_factory.mktemp("row") / "run"
+    rc = harness.resolve_run_config({
+        "env": "blockworld", "cell": "mask+trial_progress", "task": "row",
+        "goal_size": "3", "num_blocks": "5", "budget": "300",
+        "validation_every": "0", "eval_trials": "8", "log_steps": "false",
+        "out": str(out),
+    })
+    return rc, harness.run_single(rc)
+
+
+@pytest.fixture
+def built_worlds(monkeypatch):
+    """(task, goal_size, num_blocks) of every BlockWorld constructed."""
+    built = []
+    init = BlockWorld.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.task, self.goal_size, self.num_blocks))
+
+    monkeypatch.setattr(BlockWorld, "__init__", recording_init)
+    return built
+
+
+def test_load_qdump_rebuilds_the_header_env(trained_row_run, built_worlds):
+    rc, payload = trained_row_run
+    q, _ = harness.load_qdump(Path(rc.out) / "qtable.txt")
+    assert built_worlds == [("row", 3, 5)]
+    summary, _ = evaluate(q, rc.make_env, rc.eval_trials,
+                          seed=rc.eval_seed_offset + rc.seed, use_mask=rc.use_mask)
+    assert {k: summary[k] for k in ("completion_rate", "mean_efficiency", "success_rates")} \
+        == {k: payload[k] for k in ("completion_rate", "mean_efficiency", "success_rates")}
+
+
+def test_cli_eval_rebuilds_the_header_env(trained_row_run, built_worlds, tmp_path, capsys):
+    """Plain eval draws layouts from the header's task, goal size and block
+    count (so it repeats the run's own evaluation); --scenario loads the
+    arrangement into a world with those settings."""
+    rc, payload = trained_row_run
+    model = str(Path(rc.out) / "qtable.txt")
+    assert main(["eval", "--model", model, "--trials", str(rc.eval_trials),
+                 "--seed", str(rc.eval_seed_offset + rc.seed),
+                 "--out", str(tmp_path / "plain.json")]) == 0
+    plain = json.loads((tmp_path / "plain.json").read_text())
+    assert {k: plain[k] for k in ("completion_rate", "mean_efficiency", "success_rates")} \
+        == {k: payload[k] for k in ("completion_rate", "mean_efficiency", "success_rates")}
+    assert built_worlds and set(built_worlds) == {("row", 3, 5)}
+
+    source = BlockWorld(task="row", goal_size=3, num_blocks=5)
+    source.reset(11)
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(source.to_text())
+    built_worlds.clear()
+    assert main(["eval", "--model", model, "--trials", "4", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "scenario.json")]) == 0
+    capsys.readouterr()
+    assert built_worlds and set(built_worlds) == {("row", 3, 5)}
+    _, rows = read_csv(tmp_path / "scenario.csv")
+    assert {r[3] for r in rows} == {"3"}  # a row of 3 takes 3 ideal actions
 
 
 @pytest.fixture(scope="module")

@@ -114,6 +114,11 @@ def cli_eval(args: argparse.Namespace) -> int:
     if args.grid is not None and args.scenario is not None:
         print("error: --grid and --scenario are mutually exclusive", file=sys.stderr)
         return EXIT_CONFIG
+    for flag, file_env in (("grid", "gridworld"), ("scenario", "blockworld")):
+        if getattr(args, flag) is not None and rc.environment != file_env:
+            print(f"error: --{flag} needs a {file_env} model, but {model_path} "
+                  f"holds a {rc.environment} one", file=sys.stderr)
+            return EXIT_CONFIG
     if args.grid is not None:
         try:
             grid_text = Path(args.grid).read_text()

@@ -71,9 +71,13 @@ class BlockWorld:
         rows = [[y * width + x for x in range(width)] for y in range(height)]
         columns = [[y * width + x for y in range(height)] for x in range(width)]
         self._lines = tuple(map(tuple, rows + columns))
+        # Feature ids: feature_keys[id] is the feature key the id stands for
+        # and _feature_index maps a key back to its id. Ids are never reassigned.
+        self.feature_keys: list[tuple] = []
+        self._feature_index: dict[tuple, int] = {}
         # (held, tallest height, tallest is unique) -> per action, the
-        # feature tuple of each target height; built on a signature's first use.
-        self._feature_tables: dict[tuple[int, int, bool], list[list[tuple]]] = {}
+        # feature id of each target height; built on a signature's first use.
+        self._feature_tables: dict[tuple[int, int, bool], list[list[int]]] = {}
 
         self.stacks: list[list[int]] = [[] for _ in range(self.n_cells)]
         self.gripper: Optional[int] = None
@@ -259,17 +263,18 @@ class BlockWorld:
 
     # -- features ---------------------------------------------------------
 
-    def features(self, state: BlockState) -> list[tuple]:
-        """Joint indicator feature of every action at ``state``, by action id.
+    def feature_ids(self, state: BlockState) -> list[int]:
+        """The id of every action's joint indicator feature at ``state``, by
+        action id; ``feature_keys[id]`` is the feature key.
 
-        Collapses (state, action) to: action type, whether holding, tallest
-        stack height, target-cell height, the target's relation to the
-        tallest stack, and the push direction (-1 for grasp and place) —
+        The key collapses (state, action) to: action type, whether holding,
+        tallest stack height, target-cell height, the target's relation to
+        the tallest stack, and the push direction (-1 for grasp and place) —
         the signature that decides whether an action builds toward the goal
         or reverses it, independent of which cell it is. Apart from the
-        target height, a feature depends only on (held, tallest height,
-        tallest is unique), so each such signature's feature tuples are
-        built once and shared; every call returns a fresh list of them.
+        target height, a key depends only on (held, tallest height, tallest
+        is unique), so each such signature's ids are resolved once; every
+        call returns a fresh list.
         """
         held, heights = state
         max_h = max(heights)
@@ -279,11 +284,21 @@ class BlockWorld:
             table = self._feature_tables[signature] = self._feature_table(*signature)
         return list(map(getitem, table, self._action_heights(heights)))
 
-    def _feature_table(self, held: int, max_h: int, unique: bool) -> list[list[tuple]]:
-        """Per action id, the feature tuple of each target height 0..max_h."""
+    def feature_id(self, key: tuple) -> int:
+        """The id of a feature key, assigned the first time it is seen (by a
+        signature table or by a caller loading weights)."""
+        i = self._feature_index.get(key)
+        if i is None:
+            i = self._feature_index[key] = len(self.feature_keys)
+            self.feature_keys.append(key)
+        return i
+
+    def _feature_table(self, held: int, max_h: int, unique: bool) -> list[list[int]]:
+        """Per action id, the feature id of each target height 0..max_h."""
         top = "lone_max" if unique else "tied_max"
         rel = ["empty" if h == 0 else top if h == max_h else "below" for h in range(max_h + 1)]
-        return [[((atype, held, max_h, h, rel[h], direction),) for h in range(max_h + 1)]
+        return [[self.feature_id((atype, held, max_h, h, rel[h], direction))
+                 for h in range(max_h + 1)]
                 for atype, _cell, direction in self._decoded]
 
     # -- metrics ----------------------------------------------------------

@@ -474,8 +474,8 @@ def qdump_header(rc: RunConfig) -> dict[str, str]:
 
 
 def block_q(env: BlockWorld) -> LinearQ:
-    """The block world's Q-function: linear over ``env.features``."""
-    return LinearQ(env.n_actions, env.features)
+    """The block world's Q-function: one weight per feature id of ``env``."""
+    return LinearQ(env)
 
 
 def load_qdump(path: Path) -> tuple[QFunction, dict[str, str]]:

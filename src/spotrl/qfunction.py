@@ -7,19 +7,19 @@ Two implementations share the interface:
   of every action's value per state, plus flags marking the actions that
   were written, so every read or update hashes the state once, however
   many actions it touches, and indexes the row by action id.
-- :class:`LinearQ` — linear value over indicator features produced by an
-  injected per-state featurizer, for the block world where the exact
-  occupancy space is too sparse to visit.
+- :class:`LinearQ` — one weight per indicator feature, for the block world
+  where the exact occupancy space is too sparse to visit. The environment
+  owns the feature ids (one per action at each state); the weights are a
+  flat list indexed by id.
 
 Reads come in two shapes: ``value(state, a)`` is one entry, and
 ``row(state)`` is the list of every action's value at ``state``, each entry
 bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
 (greedy picks, ``best_value``, the SPOT-Q recomputation) reads one row, so a
 state is looked up or featurized once per scan rather than once per action.
-``LinearQ`` also keeps the features of its last few featurized states, so
-the handful of states one training action reads are featurized once, and
-when every action has one feature a row is one gather from a flat list of
-weights indexed by feature id.
+``LinearQ`` also keeps the feature ids of its last few states, so the
+handful of states one training action reads are featurized once, and a row
+is one gather from the flat weights.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
 and return the value they blended from, the same float ``value()`` read
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable
 
 
 class QFunction:
@@ -122,114 +122,87 @@ class TabularQ(QFunction):
             written[int(action)] = True
 
 
-# state -> one tuple of hashable feature keys per action id.
-Featurizer = Callable[[Hashable], Sequence[tuple[Hashable, ...]]]
-
-# How many featurized states a LinearQ keeps. A training action reads its
+# How many states' feature ids a LinearQ keeps. A training action reads its
 # own state, a replayed pair and the next state; four covers that cycle.
 MEMO_STATES = 4
 
 
 class LinearQ(QFunction):
-    """Q(state, action) = mean of weights of the active indicator features.
+    """Q(state, action) = the weight of the action's one indicator feature.
 
-    The featurizer maps a state to the feature tuples of all its actions at
-    once, indexed by action id; each feature key owns one weight. It must be
-    pure (the same state always gives the same features), because the
-    features of the last :data:`MEMO_STATES` featurized states are kept and
-    reused while those states recur; weights are never cached, so reads
-    always see the latest update. With a single joint feature per action
-    this behaves exactly like a table over the feature space, which is how
-    the block world uses it (the feature key abstracts away
-    block-interchangeable detail). Unseen weights read 0.
+    ``features`` (the block world) owns the ids: ``feature_ids(state)``
+    gives one per action, ``feature_keys[id]`` is an id's key, and
+    ``feature_id(key)`` gives a key's id, assigning one on first sight.
+    Weights live in a flat list indexed by id as ``0.0 + weight`` (a loaded
+    -0.0 reads 0.0); unseen weights read 0. The ids of the last
+    :data:`MEMO_STATES` states read are kept, so ``feature_ids`` must be
+    pure; weights are never cached. A row is one gather from the flat list.
     """
 
     kind = "linear"
 
-    def __init__(self, n_actions: int, featurize: Featurizer):
-        self.n_actions = n_actions
-        self.featurize = featurize
-        # Every written (or loaded) weight: the source of records() and len().
-        self._weights: dict[Hashable, float] = {}
-        # Each feature key met as an action's only feature gets an id, and
-        # _flat[id] is 0.0 + its weight: the float value() reads for a
-        # one-feature mean, -0.0 weights included. Ids are never reassigned.
-        self._ids: dict[Hashable, int] = {}
+    def __init__(self, features):
+        self.n_actions = features.n_actions
+        self.features = features
+        # id -> every written (or loaded) weight: the source of records() and len().
+        self._raw: dict[int, float] = {}
+        # _flat[id] is 0.0 + the id's weight; grown to len(feature_keys) lazily.
         self._flat: list[float] = []
-        # state -> (its features, and when every action has exactly one
-        # feature an itemgetter of their ids, which reads the row from _flat;
-        # else None), for the last MEMO_STATES featurized states, oldest first.
-        self._memo: dict[Hashable, tuple[Sequence[tuple[Hashable, ...]], Optional[Callable]]] = {}
+        # state -> (its ids, an itemgetter of them that reads the row from
+        # _flat), for the last MEMO_STATES states read, oldest first.
+        self._memo: dict[Hashable, tuple[list[int], itemgetter]] = {}
 
-    def _featurized(self, state: Hashable):
+    def _featurized(self, state: Hashable) -> tuple[list[int], itemgetter]:
         entry = self._memo.get(state)
         if entry is None:
-            feats = self.featurize(state)
-            pick = None
-            if set(map(len, feats)) == {1}:
-                keys = [f[0] for f in feats]
-                ids = list(map(self._ids.get, keys))
-                if None in ids:
-                    ids = list(map(self._id, keys))
-                # itemgetter of a single index returns the bare item, not a tuple.
-                pick = itemgetter(*ids) if len(ids) > 1 else lambda flat, i=ids[0]: (flat[i],)
+            ids = self.features.feature_ids(state)
+            self._grow()
             memo = self._memo
             if len(memo) == MEMO_STATES:
                 del memo[next(iter(memo))]
-            entry = memo[state] = (feats, pick)
+            entry = memo[state] = (ids, itemgetter(*ids))
         return entry
 
-    def _id(self, key: Hashable) -> int:
-        """The id of a lone feature key, assigned on first sight."""
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self._flat)
-            self._flat.append(0.0 + self._weights.get(key, 0.0))
-        return i
+    def _grow(self) -> None:
+        """Cover every assigned id; an id with no weight yet reads 0.0."""
+        missing = len(self.features.feature_keys) - len(self._flat)
+        if missing > 0:
+            self._flat.extend([0.0] * missing)
 
     def value(self, state: Hashable, action_id: int) -> float:
-        feats = self._featurized(state)[0][action_id]
-        if not feats:
-            return 0.0
-        return sum(self._weights.get(f, 0.0) for f in feats) / len(feats)
+        return self._flat[self._featurized(state)[0][action_id]]
 
     def row(self, state: Hashable) -> list[float]:
-        feats, pick = self._featurized(state)
-        if pick is not None:
-            return list(pick(self._flat))
-        get = self._weights.get
-        return [sum(get(f, 0.0) for f in fs) / len(fs) if fs else 0.0 for fs in feats]
+        return list(self._featurized(state)[1](self._flat))
+
+    def best_value(self, state: Hashable) -> float:
+        return max(self._featurized(state)[1](self._flat))
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
-        feats = self._featurized(state)[0][action_id]
-        if not feats:
-            return 0.0
-        weights = self._weights
-        old = sum(weights.get(f, 0.0) for f in feats) / len(feats)
-        step = lr * (target - old) / len(feats)
-        for f in feats:
-            self._write(f, weights.get(f, 0.0) + step)
+        i = self._featurized(state)[0][action_id]
+        flat = self._flat
+        old = flat[i]
+        weight = self._raw[i] = self._raw.get(i, 0.0) + lr * (target - old)
+        flat[i] = 0.0 + weight
         return old
 
-    def _write(self, key: Hashable, weight: float) -> None:
-        self._weights[key] = weight
-        i = self._ids.get(key)
-        if i is not None:
-            self._flat[i] = 0.0 + weight
-
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._raw)
 
     def records(self) -> list[tuple[str, int, float]]:
         # Feature keys play the role of the state key; the action column is
         # -1 because actions are already folded into the features.
-        rows = [(repr(f), -1, w) for f, w in self._weights.items()]
+        keys = self.features.feature_keys
+        rows = [(repr(keys[i]), -1, w) for i, w in self._raw.items()]
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 
     def load_records(self, rows: Iterable[tuple[str, int, float]]) -> None:
         for key, _action, value in rows:
-            self._write(ast.literal_eval(key), value)
+            i = self.features.feature_id(ast.literal_eval(key))
+            self._grow()
+            self._raw[i] = value
+            self._flat[i] = 0.0 + value
 
 
 def dump_qfunction(q: QFunction, header_fields: dict[str, str]) -> str:

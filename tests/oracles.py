@@ -719,3 +719,34 @@ class PlainLinearQ:
     def load_records(self, rows):
         for key, _action, value in rows:
             self.weights[ast.literal_eval(key)] = value
+
+
+# ---------------------------------------------------------------------------
+# Feature ids over a key featurizer (what LinearQ reads from an environment)
+# ---------------------------------------------------------------------------
+
+
+class KeyFeatures:
+    """The feature-id side of an environment, built over a function from a
+    state to one feature key per action: ``feature_ids(state)``,
+    ``feature_keys`` (id -> key) and ``feature_id(key)``, with ids handed
+    out in order of first sight."""
+
+    def __init__(self, n_actions, keys):
+        self.n_actions = n_actions
+        self.keys = keys
+        self.feature_keys = []
+        self.index = {}
+
+    def feature_id(self, key):
+        if key not in self.index:
+            self.index[key] = len(self.feature_keys)
+            self.feature_keys.append(key)
+        return self.index[key]
+
+    def feature_ids(self, state):
+        return [self.feature_id(key) for key in self.keys(state)]
+
+    def featurize(self, state):
+        """The same features as PlainLinearQ's one-key tuples."""
+        return [(key,) for key in self.keys(state)]

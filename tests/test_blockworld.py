@@ -438,22 +438,25 @@ def test_from_text_rejects_garbage():
 
 
 def test_feature_key_collapses_interchangeable_cells():
-    """Grasping a lone block gives the same single feature wherever the
-    block sits; the feature distinguishes what matters (relation to the
-    tallest stack, direction, gripper) rather than the cell identity."""
+    """Grasping a lone block gives the same feature id wherever the block
+    sits; the feature distinguishes what matters (relation to the tallest
+    stack, direction, gripper) rather than the cell identity."""
     env = BlockWorld()
     a = ((0, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0)), 0)
     b = ((0, (0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0)), 2)
-    assert env.features(a[0])[a[1]] == env.features(b[0])[b[1]]
-    assert len(env.features(a[0])[a[1]]) == 1
+    assert env.feature_ids(a[0])[a[1]] == env.feature_ids(b[0])[b[1]]
 
     tall = (0, (2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
-    assert env.features(tall)[0] != env.features(tall)[1]  # max vs below
+    assert env.feature_ids(tall)[0] != env.feature_ids(tall)[1]  # max vs below
     tied = (0, (2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
-    assert env.features(tied)[0] != env.features(tall)[0]  # tied vs lone
+    assert env.feature_ids(tied)[0] != env.feature_ids(tall)[0]  # tied vs lone
     held = (1, tall[1])
-    assert env.features(held)[16] != env.features(tall)[16]
-    assert env.features(tall)[32] != env.features(tall)[33]  # direction
+    assert env.feature_ids(held)[16] != env.feature_ids(tall)[16]
+    assert env.feature_ids(tall)[32] != env.feature_ids(tall)[33]  # direction
+    # The same key keeps its id across signatures: an empty target below a
+    # tallest stack of 2 reads the same whether that stack is lone or tied.
+    assert env.feature_ids(tall)[3] == env.feature_ids(tied)[3]
+    assert env.feature_keys[env.feature_ids(tall)[3]] == ("grasp", 0, 2, 0, "empty", -1)
 
 
 def walk_states(task, seed, steps):
@@ -503,21 +506,27 @@ def test_step_computes_progress_at_most_twice(task):
 def feature_cases(states):
     """(held, target relation) pairs the states' features exercise."""
     env = BlockWorld()
-    return {(held, feats[0][4]) for held, heights in states
-            for feats in env.features((held, heights))}
+    return {(held, env.feature_keys[i][4]) for held, heights in states
+            for i in env.feature_ids((held, heights))}
 
 
 WALKS = dict(task=st.sampled_from(TASKS), seed=st.integers(0, 2**16),
              steps=st.integers(0, 60))
 
 
+def keys_of(env, state):
+    """Every action's feature key at ``state``, through the env's ids, in the
+    oracle's one-key tuple shape."""
+    return [(env.feature_keys[i],) for i in env.feature_ids(state)]
+
+
 @given(**WALKS)
 def test_features_match_the_per_action_oracle(task, seed, steps):
-    """The per-state featurizer gives every action exactly the feature the
-    one-action-at-a-time derivation gives it."""
+    """The per-state feature ids name, through feature_keys, exactly the key
+    the one-action-at-a-time derivation gives every action."""
     env, states = walk_states(task, seed, steps)
     for state in states:
-        assert env.features(state) == [block_feature_key(state, a, env.n_cells)
+        assert keys_of(env, state) == [block_feature_key(state, a, env.n_cells)
                                        for a in range(env.n_actions)]
 
 
@@ -552,8 +561,8 @@ def test_block_q_row_matches_value_bitwise(task, seed, steps, data):
     for state in states:
         action = data.draw(st.integers(0, env.n_actions - 1))
         q.update(state, action, data.draw(st.floats(-4, 4)), data.draw(st.floats(0, 1)))
-    for feats in data.draw(st.lists(st.sampled_from(env.features(states[-1])), max_size=5)):
-        q.load_records([(repr(feats[0]), -1, -0.0)])
+    for i in data.draw(st.lists(st.sampled_from(env.feature_ids(states[-1])), max_size=5)):
+        q.load_records([(repr(env.feature_keys[i]), -1, -0.0)])
     for state in states:
         assert [repr(v) for v in q.row(state)] == \
             [repr(q.value(state, a)) for a in range(env.n_actions)]
@@ -561,13 +570,18 @@ def test_block_q_row_matches_value_bitwise(task, seed, steps, data):
 
 @given(**WALKS)
 def test_feature_tables_stay_small_and_rows_fresh(task, seed, steps):
-    """The shared feature tables hold one entry per (held, tallest height,
-    tallest is unique) signature met, and each call returns a new list:
-    changing it leaves the next call's features as they were."""
+    """The shared id tables hold one entry per (held, tallest height,
+    tallest is unique) signature met; each key keeps one id across
+    signatures and calls; and each call returns a new list: changing it
+    leaves the next call's ids as they were."""
     env, states = walk_states(task, seed, steps)
+    first_ids = {}
     for state in states:
-        feats = env.features(state)
-        feats[:] = [()] * len(feats)
-        assert env.features(state) == [block_feature_key(state, a, env.n_cells)
+        ids = env.feature_ids(state)
+        for i in ids:
+            assert first_ids.setdefault(env.feature_keys[i], i) == i
+        ids[:] = [-1] * len(ids)
+        assert keys_of(env, state) == [block_feature_key(state, a, env.n_cells)
                                        for a in range(env.n_actions)]
         assert len(env._feature_tables) <= 2 * (env.num_blocks + 1) * 2
+    assert len(set(env.feature_keys)) == len(env.feature_keys)

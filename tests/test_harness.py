@@ -692,6 +692,35 @@ def test_cli_eval_fixed_grid_replay(trained_grid, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_eval_grid_needs_a_gridworld_model(trained_run, tmp_path, capsys):
+    """--grid with a block-world model exits 2 with an error, not a traceback."""
+    _, run_dir, _ = trained_run
+    grid = tmp_path / "grid.txt"
+    grid.write_text("#####\n#>..#\n#..G#\n#####\n")
+    out = tmp_path / "eval.json"
+    code = main(["eval", "--model", str(run_dir / "qtable.txt"), "--grid", str(grid),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid needs a gridworld model") and "blockworld" in err
+    assert not out.exists()
+
+
+def test_cli_eval_scenario_needs_a_blockworld_model(trained_grid, tmp_path, capsys):
+    """--scenario with a grid-world model exits 2 with an error, not a traceback."""
+    env = BlockWorld(task="stack")
+    env.reset(11)
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(env.to_text())
+    out = tmp_path / "eval.json"
+    code = main(["eval", "--model", str(trained_grid / "qtable.txt"),
+                 "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --scenario needs a blockworld model") and "gridworld" in err
+    assert not out.exists()
+
+
 def test_cli_sweep_end_to_end(tmp_path, capsys):
     """A tiny two-cell sweep writes per-run artifacts, per-cell summaries,
     and the combined table — and reruns reproduce the table byte-for-byte."""
@@ -750,3 +779,19 @@ def test_importing_the_harness_leaves_multiprocessing_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_block_training_writes_the_same_artifacts_under_python_O(tmp_path):
+    """A short block-world run writes byte-identical artifacts with asserts
+    stripped (python -O) and without. The comparison runs in this process,
+    since -O would strip it too."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name, flags in (("plain", []), ("optimized", ["-O"])):
+        subprocess.run([sys.executable, *flags, "-m", "spotrl.cli", "train",
+                        "--env", "blockworld", "--cell", "spotq+trial_progress",
+                        "--seed", "3", "--budget", "300", "--out", str(tmp_path / name)],
+                       env=env, capture_output=True, check=True, timeout=300)
+    for artifact in ("qtable.txt", "trials.csv", "summary.json"):
+        assert (tmp_path / "optimized" / artifact).read_bytes() == \
+            (tmp_path / "plain" / artifact).read_bytes(), artifact

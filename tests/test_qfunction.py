@@ -1,8 +1,11 @@
 """Q-function backends: tabular, linear-over-features, and text dumps."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from spotrl.envs.blockworld import TASKS, BlockWorld
 from spotrl.qfunction import (
     LinearQ,
     TabularQ,
@@ -10,30 +13,16 @@ from spotrl.qfunction import (
     parse_qdump,
 )
 
-from oracles import PlainLinearQ
+from oracles import KeyFeatures, PlainLinearQ, block_feature_key
 
 
-def pair_features(state):
-    """Two-feature featurizer used to exercise weight averaging."""
-    return [(("bias", a), ("state", state, a)) for a in range(2)]
+def joint_keys(state):
+    return [(state, a) for a in range(2)]
 
 
-def joint_feature(state):
-    return [((state, a),) for a in range(2)]
-
-
-def mixed_features(state):
-    """Zero, one, two and three features per action, some shared."""
-    return [(), (("bias",),), (("bias",), ("state", state)),
-            (("bias",), ("state", state), ("third", state))]
-
-
-def lone_features(state):
-    """One feature per action, some shared, except that state "u" has the
-    mixed shape, so one LinearQ reads rows both ways."""
-    if state == "u":
-        return mixed_features(state)
-    return [(("bias",),), (("state", state),), (("state", state),), (("act", state),)]
+def lone_keys(state):
+    """One feature key per action, some shared between actions."""
+    return [("bias",), ("state", state), ("state", state), ("act", state)]
 
 
 # -- tabular ----------------------------------------------------------------
@@ -162,20 +151,8 @@ def test_tabular_dump_reloads_every_row(updates):
 # -- linear -----------------------------------------------------------------
 
 
-def test_linear_value_is_mean_of_active_weights():
-    q = LinearQ(2, pair_features)
-    assert q.value("s", 0) == 0.0
-    q.update("s", 0, 1.0, 0.5)
-    # error 1.0 split over two features: each weight moves by 0.25
-    assert q.value("s", 0) == 0.25
-    q.update("s", 0, 1.0, 0.5)
-    assert q.value("s", 0) == 0.4375
-    # the shared bias feature leaks to sibling states, the state feature not
-    assert q.value("other", 0) == q.value("s", 0) / 2
-
-
 def test_linear_with_joint_feature_matches_tabular():
-    lin = LinearQ(2, joint_feature)
+    lin = LinearQ(KeyFeatures(2, joint_keys))
     tab = TabularQ(2)
     for target, lr in [(1.0, 0.3), (0.4, 0.5), (-0.2, 0.9)]:
         lin.update("s", 1, target, lr)
@@ -183,15 +160,8 @@ def test_linear_with_joint_feature_matches_tabular():
         assert lin.value("s", 1) == tab.value("s", 1)
 
 
-def test_linear_empty_feature_set_is_inert():
-    q = LinearQ(2, lambda s: [(), ()])
-    q.update("s", 0, 5.0, 1.0)
-    assert q.value("s", 0) == 0.0
-    assert len(q) == 0
-
-
 def test_linear_records_use_feature_keys():
-    q = LinearQ(2, joint_feature)
+    q = LinearQ(KeyFeatures(2, joint_keys))
     q.update("s", 1, 0.5, 1.0)
     assert q.records() == [("('s', 1)", -1, 0.5)]
 
@@ -202,11 +172,11 @@ def test_linear_reuses_features_only_while_the_state_repeats():
     evicts the first featurized of the four, however recently it was read."""
     seen = []
 
-    def featurize(state):
+    def keys(state):
         seen.append(state)
-        return joint_feature(state)
+        return joint_keys(state)
 
-    q = LinearQ(2, featurize)
+    q = LinearQ(KeyFeatures(2, keys))
     assert q.row("s") == [0.0, 0.0]
     q.update("s", 1, 1.0, 0.5)
     assert q.row("s") == [0.0, 0.5]
@@ -222,23 +192,8 @@ def test_linear_reuses_features_only_while_the_state_repeats():
     assert q.row("s") == [0.0, 0.5]
 
 
-def one_action_features(state):
-    return [(("state", state % 3),)]
-
-
-def lone_or_mixed_features(state):
-    """One feature per action in even states; zero, one and two in odd ones,
-    where ("state", k) is one of two features, so an update there writes a
-    key that even states read alone."""
-    if state % 2:
-        return [(), (("bias",),), (("bias",), ("state", state % 4))]
-    return [(("bias",),), (("state", state % 4),), (("act", state),)]
-
-
 MEMO_CASES = {
-    "one-action": (1, one_action_features),
-    "lone-or-mixed": (3, lone_or_mixed_features),
-    "lone": (3, lambda state: [(("bias",),), (("state", state % 4),), (("act", state),)]),
+    "lone": (3, lambda state: [("bias",), ("state", state % 4), ("act", state)]),
 }
 MEMO_OPS = st.lists(st.one_of(
     st.tuples(st.just("row"), st.integers(0, 7)),
@@ -253,10 +208,12 @@ MEMO_OPS = st.lists(st.one_of(
 @given(ops=MEMO_OPS)
 def test_linear_matches_the_plain_reference(case, ops):
     """Through more states than the memo holds, revisited, with updates and
-    -0.0 weights loaded in between, every row, value and update return is
-    the float a LinearQ without memo or id list gives."""
-    n_actions, featurize = MEMO_CASES[case]
-    q, ref = LinearQ(n_actions, featurize), PlainLinearQ(n_actions, featurize)
+    -0.0 weights loaded in between (keys loaded before any read gave them an
+    id too), every row, value and update return is the float a LinearQ
+    without memo or ids gives."""
+    n_actions, keys = MEMO_CASES[case]
+    space = KeyFeatures(n_actions, keys)
+    q, ref = LinearQ(space), PlainLinearQ(n_actions, space.featurize)
     for op, state, *args in ops:
         if op == "row":
             assert [repr(v) for v in q.row(state)] == [repr(v) for v in ref.row(state)]
@@ -268,13 +225,65 @@ def test_linear_matches_the_plain_reference(case, ops):
             assert repr(q.update(state, action, *args[1:])) == \
                 repr(ref.update(state, action, *args[1:]))
         else:
-            rows = [(repr(f), -1, -0.0) for f in featurize(state)[action]]
+            rows = [(repr(keys(state)[action]), -1, -0.0)]
             q.load_records(rows)
             ref.load_records(rows)
     assert [(k, a, repr(w)) for k, a, w in q.records()] == \
         sorted((repr(f), -1, repr(w)) for f, w in ref.weights.items())
     for state in range(8):
         assert [repr(v) for v in q.row(state)] == [repr(v) for v in ref.row(state)]
+
+
+# Synthetic block states whose signatures a short walk rarely reaches first:
+# a -0.0 load there names keys before their signature table is built.
+UNBUILT = st.tuples(st.integers(0, 1), st.sampled_from([
+    (2,) + (0,) * 15, (2, 2) + (0,) * 14, (3, 1) + (0,) * 14, (4,) + (0,) * 15,
+    (1, 1, 1, 1) + (0,) * 12, (0,) * 15 + (3,),
+]))
+
+
+@given(task=st.sampled_from(TASKS), seed=st.integers(0, 2**16), data=st.data())
+def test_block_linear_q_matches_the_plain_reference(task, seed, data):
+    """On a random walk over allowed block-world actions, LinearQ over one
+    env's feature ids and PlainLinearQ over block_feature_key agree at every
+    step: value, row, best_value and update returns, and records, with -0.0
+    weights loaded for visited keys and for keys no signature table holds yet."""
+    walker, owner = BlockWorld(task=task), BlockWorld(task=task)
+    q = LinearQ(owner)
+    features = {}
+
+    def featurize(state):
+        if state not in features:
+            features[state] = [block_feature_key(state, a, owner.n_cells)
+                               for a in range(owner.n_actions)]
+        return features[state]
+
+    ref = PlainLinearQ(owner.n_actions, featurize)
+    rng = random.Random(seed)
+    state = walker.reset(seed)
+    for _ in range(data.draw(st.integers(1, 30))):
+        op = data.draw(st.sampled_from(["read", "update", "zero", "zero-unbuilt"]))
+        action = data.draw(st.integers(0, owner.n_actions - 1))
+        if op == "read":
+            assert [repr(v) for v in q.row(state)] == [repr(v) for v in ref.row(state)]
+            assert repr(q.value(state, action)) == repr(ref.value(state, action))
+            assert repr(q.best_value(state)) == repr(max(ref.row(state)))
+        elif op == "update":
+            target, lr = data.draw(st.floats(-4, 4)), data.draw(st.floats(0, 1))
+            assert repr(q.update(state, action, target, lr)) == \
+                repr(ref.update(state, action, target, lr))
+        else:
+            at = state if op == "zero" else data.draw(UNBUILT)
+            rows = [(repr(block_feature_key(at, action, owner.n_cells)[0]), -1, -0.0)]
+            q.load_records(rows)
+            ref.load_records(rows)
+        assert [(k, a, repr(w)) for k, a, w in q.records()] == \
+            sorted((repr(f), -1, repr(w)) for f, w in ref.weights.items())
+        if walker.terminal:
+            state = walker.reset(rng.randrange(1 << 30))
+        else:
+            state, _, _ = walker.step(
+                rng.choice([a for a, ok in enumerate(walker.mask_for(state)) if ok]))
 
 
 # -- rows -------------------------------------------------------------------
@@ -287,14 +296,13 @@ def negative_zero_tabular(q, state, action):
 
 
 def negative_zero_linear(q, state, action):
-    q.load_records([(repr(f), -1, -0.0) for f in q.featurize(state)[action]])
+    q.load_records([(repr(lone_keys(state)[action]), -1, -0.0)])
 
 
 ROW_CASES = {
     "tabular": (lambda: TabularQ(4), negative_zero_tabular),
     "tabular-initial": (lambda: TabularQ(4, initial=-0.0), negative_zero_tabular),
-    "linear-mixed": (lambda: LinearQ(4, mixed_features), negative_zero_linear),
-    "linear-one-feature": (lambda: LinearQ(4, lone_features), negative_zero_linear),
+    "linear-one-feature": (lambda: LinearQ(KeyFeatures(4, lone_keys)), negative_zero_linear),
 }
 
 
@@ -356,11 +364,11 @@ def test_dump_and_parse_round_trip_tabular():
 
 
 def test_dump_and_parse_round_trip_linear():
-    q = LinearQ(2, joint_feature)
+    q = LinearQ(KeyFeatures(2, joint_keys))
     q.update("s", 0, 0.123456789123456789, 0.3)
     fields, rows = parse_qdump(dump_qfunction(q, {}))
     assert fields["kind"] == "linear"
-    restored = LinearQ(2, joint_feature)
+    restored = LinearQ(KeyFeatures(2, joint_keys))
     restored.load_records(rows)
     assert restored.records() == q.records()  # repr round trip is exact
 

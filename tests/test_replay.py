@@ -18,8 +18,8 @@ from spotrl.replay import (
 )
 from spotrl.rewards import RewardConfig
 
-from oracles import (CountingRandom, ForbiddenRandom, MirrorReplay, ScriptedRandom,
-                     reference_apply_update)
+from oracles import (CountingRandom, ForbiddenRandom, KeyFeatures, MirrorReplay,
+                     ScriptedRandom, reference_apply_update)
 
 WEIGHTS = {"grasp": 1.0, "place": 1.25, "push": 0.5}
 
@@ -320,19 +320,22 @@ def test_apply_update_reward_override():
     assert q.value(("s", 0), 0) == 0.25
 
 
-def shared_features(state):
-    """Actions 0 and 1 share the "bias" feature, so updating one moves the
-    other; action 2 has a feature of its own."""
-    return [(("bias",), ("a0", state)), (("bias",), ("a1", state)), (("a2", state),)]
+def shared_keys(state):
+    """Actions 0 and 1 share one feature across every state, so updating one
+    moves the other, at this state and at the next; action 2 has a feature
+    of its own."""
+    return [("pair",), ("pair",), ("a2", state)]
 
 
 def loaded_q(kind, entries):
-    """A Q-function holding exactly ``entries`` ((state, action) -> value);
-    for the linear kind each value is written to every feature of its pair."""
+    """A Q-function loaded from ``entries`` ((state, action) -> value). The
+    tabular kinds hold exactly those entries. The linear kind writes each
+    value to its pair's feature, so entries for actions 0 and 1 (at either
+    state) overwrite each other and the last one written is kept."""
     if kind == "linear":
-        q = LinearQ(3, shared_features)
-        q.load_records([(repr(f), -1, v) for (state, a), v in entries.items()
-                        for f in shared_features(state)[a]])
+        q = LinearQ(KeyFeatures(3, shared_keys))
+        q.load_records([(repr(shared_keys(state)[a]), -1, v)
+                        for (state, a), v in entries.items()])
     else:
         q = TabularQ(3, initial=-0.0 if kind == "tabular-initial" else 0.0)
         q.load_records([(repr(state), a, v) for (state, a), v in entries.items()])

@@ -26,15 +26,20 @@ equivalence.
 
 The buffer is append-only up to capacity; eviction removes whole trials,
 oldest first, so backfilled rewards stay coherent.
+
+The rank store is plain sorted lists of ``(-surprise, index)`` keys, one for
+all eligible experiences and one per (action type, success) group. An
+insert (``insort``) or a remove (``bisect_left`` then ``del``) is a C-level
+shift, and ``sample`` reads its drawn rank with an O(1) list index. At
+finalize, an instant-kind entry is re-ranked only when its surprise
+changes: an equal surprise is the identical key, so its rank is unchanged.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Hashable, Optional
-
-from sortedcontainers import SortedList
 
 from . import rewards, spotq
 from .qfunction import QFunction
@@ -111,8 +116,8 @@ class ReplayBuffer:
 
         # Sampling structures: (-surprise, id) tuples, so iteration order is
         # surprise-descending with insertion id as the deterministic tiebreak.
-        self._ranked_all: SortedList = SortedList()
-        self._ranked_group: dict[tuple[str, bool], SortedList] = {}
+        self._ranked_all: list[tuple[float, int]] = []
+        self._ranked_group: dict[tuple[str, bool], list[tuple[float, int]]] = {}
         # Prefix sums of (rank+1)**(-per_exponent), grown on demand.
         self._cum: list[float] = []
 
@@ -177,11 +182,16 @@ class ReplayBuffer:
             return
         instants = [self._entries[i].instant_reward for i in trial.ids]
         filled = rewards.backfill(instants, completed, cfg)
+        trial_kind = self.cfg.uses_trial_reward
         for idx, value in zip(trial.ids, filled):
-            if not self.cfg.uses_trial_reward:
-                self._rank_remove(idx)
-            self._entries[idx].trial_reward = value
-            self._rank_insert(idx)
+            e = self._entries[idx]
+            before = surprise(e)
+            e.trial_reward = value
+            if trial_kind:
+                self._rank_insert(idx)  # first ranked now
+            elif surprise(e) != before:
+                self._rank_remove(idx, before)
+                self._rank_insert(idx)
         trial.finalized = True
         trial.completed = completed
 
@@ -222,24 +232,24 @@ class ReplayBuffer:
 
     # -- internals --------------------------------------------------------
 
-    def _group_for(self, e: Experience) -> SortedList:
-        key = (e.action_type, e.success)
-        group = self._ranked_group.get(key)
-        if group is None:
-            group = self._ranked_group[key] = SortedList()
-        return group
-
     def _rank_insert(self, idx: int) -> None:
         e = self._entries[idx]
         item = (-surprise(e), idx)
-        self._ranked_all.add(item)
-        self._group_for(e).add(item)
+        insort(self._ranked_all, item)
+        insort(self._ranked_group.setdefault((e.action_type, e.success), []), item)
 
-    def _rank_remove(self, idx: int) -> None:
+    def _rank_remove(self, idx: int, ranked_surprise: Optional[float] = None) -> None:
+        """Remove idx's key, ranked under ranked_surprise (default: its
+        current surprise); raises RuntimeError if that key is not ranked."""
         e = self._entries[idx]
-        item = (-surprise(e), idx)
-        self._ranked_all.discard(item)
-        self._group_for(e).discard(item)
+        if ranked_surprise is None:
+            ranked_surprise = surprise(e)
+        item = (-ranked_surprise, idx)
+        for ranked in (self._ranked_all, self._ranked_group.get((e.action_type, e.success), [])):
+            pos = bisect_left(ranked, item)
+            if pos == len(ranked) or ranked[pos] != item:
+                raise RuntimeError(f"replay entry {idx} is not in the rank store")
+            del ranked[pos]
 
     def _evict_over_capacity(self, keep_trial: int) -> None:
         while len(self._entries) > self.capacity:
@@ -247,8 +257,10 @@ class ReplayBuffer:
             if oldest_id == keep_trial:
                 break  # never evict the trial currently being written
             trial = self._trials.pop(oldest_id)
+            ranked = trial.finalized or not self.cfg.uses_trial_reward
             for idx in trial.ids:
-                self._rank_remove(idx)
+                if ranked:
+                    self._rank_remove(idx)
                 del self._entries[idx]
             self._min_live_trial = next(iter(self._trials), None)
 

@@ -9,8 +9,10 @@ arithmetic from scratch.
 """
 
 import ast
+import bisect
 import hashlib
 import heapq
+import itertools
 import random
 
 from sortedcontainers import SortedList
@@ -455,6 +457,87 @@ class MirrorReplay:
         while rank < n - 1 and self.cum[rank] <= u:
             rank += 1
         return candidates[rank][1]
+
+
+class BruteForceReplay:
+    """Surprise-ranked sampling with capacity eviction and trial-level
+    eligibility, recomputed from scratch on every draw.
+
+    Nothing is kept in rank order: each draw (and each ``eligible`` read)
+    sorts the ``(-surprise, index)`` keys of the live eligible entries, then
+    applies the type filter and the power-law rank draw to that list.
+    Eviction drops whole trials, oldest first, never the trial being written.
+    Under a trial kind only finalized trials are eligible.
+    """
+
+    def __init__(self, *, capacity, trial_kind, per_exponent, filter_prob, trial_discount):
+        self.capacity = capacity
+        self.trial_kind = trial_kind
+        self.per_exponent = per_exponent
+        self.filter_prob = filter_prob
+        self.trial_discount = trial_discount
+        self.entries = {}
+        self.trials = {}  # trial id -> indices, oldest first
+        self.finalized = set()
+        self.next_index = 0
+
+    def push(self, *, trial_id, atype, success, instant, predicted):
+        i = self.next_index
+        self.next_index += 1
+        self.entries[i] = {"atype": atype, "success": success, "instant": instant,
+                           "trial": None, "predicted": predicted, "trial_id": trial_id}
+        self.trials.setdefault(trial_id, []).append(i)
+        while len(self.entries) > self.capacity:
+            oldest = next(iter(self.trials))
+            if oldest == trial_id:
+                break
+            for j in self.trials.pop(oldest):
+                del self.entries[j]
+        return i
+
+    def finalize(self, trial_id, completed):
+        """Backfill a live trial's rewards; evicted or finalized: no-op."""
+        if trial_id not in self.trials or trial_id in self.finalized:
+            return
+        ids = self.trials[trial_id]
+        later = None
+        for i in reversed(ids):
+            e = self.entries[i]
+            r = e["instant"]
+            if r == 0.0:
+                value = 0.0
+            elif later is None:
+                value = 2.0 * r if completed else r
+            else:
+                value = r + self.trial_discount * later
+            e["trial"] = value
+            later = value
+        self.finalized.add(trial_id)
+
+    def _ranked(self):
+        keys = []
+        for i, e in self.entries.items():
+            if self.trial_kind and e["trial_id"] not in self.finalized:
+                continue
+            reward = e["trial"] if e["trial"] is not None else e["instant"]
+            keys.append((-abs(reward - e["predicted"]), i))
+        return sorted(keys)
+
+    @property
+    def eligible(self):
+        return len(self._ranked())
+
+    def sample(self, rng, last_atype, last_success):
+        candidates = self._ranked()
+        if rng.random() < self.filter_prob:
+            group = [k for k in candidates
+                     if self.entries[k[1]]["atype"] == last_atype
+                     and self.entries[k[1]]["success"] != last_success]
+            if group:
+                candidates = group
+        n = len(candidates)
+        cum = list(itertools.accumulate((r + 1) ** (-self.per_exponent) for r in range(n)))
+        return candidates[bisect.bisect_right(cum, rng.random() * cum[n - 1], 0, n - 1)][1]
 
 
 # ---------------------------------------------------------------------------

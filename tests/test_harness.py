@@ -781,6 +781,16 @@ def test_importing_the_harness_leaves_multiprocessing_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_runtime_imports_without_sortedcontainers():
+    """The package runs on the standard library alone; sortedcontainers is
+    only the test mirrors' independent reference."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; sys.modules['sortedcontainers'] = None; "
+            "import spotrl.cli, spotrl.harness, spotrl.trainer, spotrl.replay")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 def test_block_training_writes_the_same_artifacts_under_python_O(tmp_path):
     """A short block-world run writes byte-identical artifacts with asserts
     stripped (python -O) and without. The comparison runs in this process,

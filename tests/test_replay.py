@@ -18,8 +18,8 @@ from spotrl.replay import (
 )
 from spotrl.rewards import RewardConfig
 
-from oracles import (CountingRandom, ForbiddenRandom, KeyFeatures, MirrorReplay,
-                     ScriptedRandom, reference_apply_update)
+from oracles import (BruteForceReplay, CountingRandom, ForbiddenRandom, KeyFeatures,
+                     MirrorReplay, ScriptedRandom, reference_apply_update)
 
 WEIGHTS = {"grasp": 1.0, "place": 1.25, "push": 0.5}
 
@@ -262,6 +262,103 @@ def test_eviction_spares_the_trial_being_written():
     buf.push(exp(4, trial=1, step=0))  # now trial 0 is evictable
     assert len(buf) == 1
     assert buf.get(4).trial_id == 1
+
+
+def test_evicting_an_unfinalized_trial_under_a_trial_kind():
+    """A trial kind ranks a trial only once it is finalized, so evicting a
+    trial that never was leaves the ranked entries alone."""
+    buf = ReplayBuffer(cfg("trial_progress"), capacity=3)
+    buf.push(exp(0, trial=0, step=0, predicted=0.5))
+    buf.finalize_trial(0, True)
+    buf.push(exp(1, trial=1, step=0))
+    buf.push(exp(2, trial=1, step=1))  # trial 1 is left unfinalized
+    buf.push(exp(3, trial=2, step=0))  # evicts trial 0
+    buf.push(exp(4, trial=2, step=1))  # evicts trial 1, never ranked
+    assert len(buf) == 2
+    assert buf.eligible == 0
+    buf.finalize_trial(2, False)
+    assert buf.eligible == 2
+
+
+def test_removing_an_unranked_entry_raises():
+    buf = ReplayBuffer(cfg("trial_progress"))
+    buf.push(exp(0))
+    with pytest.raises(RuntimeError):
+        buf._rank_remove(0)
+
+
+# One pushed step: action type, success, instant reward, prediction, how the
+# trial goes on after it, whether the oldest abandoned trial is finalized
+# late, and how many draws follow.
+REPLAY_STEPS = st.lists(
+    st.tuples(st.sampled_from(["grasp", "place"]), st.booleans(),
+              st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+              st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+              st.sampled_from(["continue", "complete", "fail", "abandon"]),
+              st.booleans(), st.integers(0, 2)),
+    min_size=1, max_size=30)
+
+
+@given(
+    kind=st.sampled_from(["base", "progress", "trial_sr", "trial_progress"]),
+    capacity=st.integers(1, 8),
+    per_exponent=st.sampled_from([0.25, 2.0]),
+    filter_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    steps=REPLAY_STEPS,
+    seed=st.integers(0, 2**16),
+)
+@example(kind="trial_progress", capacity=2, per_exponent=2.0, filter_prob=0.5,
+         steps=[("grasp", True, 1.0, 0.0, "complete", False, 1),
+                ("grasp", True, 0.5, 0.25, "continue", False, 1),
+                ("place", False, 1.0, 0.0, "abandon", False, 1),
+                ("grasp", False, 0.25, 0.5, "continue", False, 1),
+                ("place", True, 0.5, 0.0, "complete", False, 2)],
+         seed=0)
+@example(kind="base", capacity=4, per_exponent=0.25, filter_prob=0.5,
+         steps=[("grasp", True, 0.25, 0.5, "continue", False, 1),
+                ("grasp", False, 0.5, 0.0, "continue", False, 1),
+                ("place", True, 1.0, 0.25, "complete", False, 2),
+                ("place", False, 0.5, 0.0, "abandon", False, 1),
+                ("grasp", True, 1.0, 0.0, "fail", True, 2)],
+         seed=3)
+def test_sampling_matches_the_brute_force_reference(kind, capacity, per_exponent,
+                                                    filter_prob, steps, seed):
+    """Pushes, finalizes (ones that move a surprise and ones that keep it),
+    evictions (of finalized trials and, under a trial kind, of unfinalized
+    ones) and draws: the buffer's eligible count and every sampled index
+    match a reference that re-sorts the live eligible entries per draw."""
+    c = cfg(kind)
+    buf = ReplayBuffer(c, capacity=capacity, per_exponent=per_exponent,
+                       type_filter_prob=filter_prob)
+    ref = BruteForceReplay(capacity=capacity, trial_kind=c.uses_trial_reward,
+                           per_exponent=per_exponent, filter_prob=filter_prob,
+                           trial_discount=c.trial_discount)
+    rng_a, rng_b = random.Random(seed), random.Random(seed)
+    trial, step, abandoned = 0, 0, []
+    for atype, success, instant, predicted, then, late, draws in steps:
+        assert buf.push(Experience(state=step, action_id=0, action_type=atype,
+                                   instant_reward=instant, trial_reward=None,
+                                   predicted_q=predicted, success=success,
+                                   trial_id=trial, step_index=step, next_state=step + 1,
+                                   terminal=then in ("complete", "fail"))) == \
+            ref.push(trial_id=trial, atype=atype, success=success, instant=instant,
+                     predicted=predicted)
+        if then == "continue":
+            step += 1
+        else:
+            if then == "abandon":
+                abandoned.append(trial)
+            else:
+                buf.finalize_trial(trial, then == "complete")
+                ref.finalize(trial, then == "complete")
+            trial, step = trial + 1, 0
+        if late and abandoned:
+            old = abandoned.pop(0)
+            buf.finalize_trial(old, True)
+            ref.finalize(old, True)
+        assert buf.eligible == ref.eligible
+        for _ in range(draws if buf.eligible else 0):
+            assert buf.sample(rng_a, atype, success) == ref.sample(rng_b, atype, success)
 
 
 # -- rewards seen by training ----------------------------------------------

@@ -12,8 +12,6 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .envs.blockworld import BlockWorld
-from .envs.gridworld import GridWorld
 from .rewards import ConfigError
 from .trainer import evaluate
 
@@ -114,39 +112,26 @@ def cli_eval(args: argparse.Namespace) -> int:
     if args.grid is not None and args.scenario is not None:
         print("error: --grid and --scenario are mutually exclusive", file=sys.stderr)
         return EXIT_CONFIG
+    env_factory = rc.make_env
     for flag, file_env in (("grid", "gridworld"), ("scenario", "blockworld")):
-        if getattr(args, flag) is not None and rc.environment != file_env:
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        if rc.environment != file_env:
             print(f"error: --{flag} needs a {file_env} model, but {model_path} "
                   f"holds a {rc.environment} one", file=sys.stderr)
             return EXIT_CONFIG
-    if args.grid is not None:
         try:
-            grid_text = Path(args.grid).read_text()
+            text = Path(path).read_text()
         except OSError as exc:
-            print(f"error: cannot read grid file: {exc}", file=sys.stderr)
+            print(f"error: cannot read {flag} file: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         try:
-            fixed = harness.FixedLayout(GridWorld.from_text(grid_text))
+            env = rc.make_env(text)
         except (ValueError, RuntimeError) as exc:
-            print(f"error: bad grid file: {exc}", file=sys.stderr)
+            print(f"error: bad {flag} file: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        env_factory = lambda: fixed
-    elif args.scenario is not None:
-        try:
-            scenario_text = Path(args.scenario).read_text()
-        except OSError as exc:
-            print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            scenario = harness.FixedScenario(BlockWorld.from_text(
-                scenario_text, task=rc.task, goal_size=rc.goal_size,
-                num_blocks=rc.num_blocks))
-        except (ValueError, RuntimeError) as exc:
-            print(f"error: bad scenario file: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        env_factory = lambda: scenario
-    else:
-        env_factory = rc.make_env
+        env_factory = lambda: env
 
     summary, trials = evaluate(q, env_factory, args.trials, seed=args.seed,
                                use_mask=use_mask)

@@ -1,4 +1,32 @@
+"""The environments, and the protocol the agent loop uses them through."""
+from __future__ import annotations
+
+from typing import Optional, Protocol, runtime_checkable
+
+from ..rewards import StepOutcome
 from .blockworld import BlockWorld
 from .gridworld import GridWorld
 
-__all__ = ["BlockWorld", "GridWorld"]
+__all__ = ["BlockWorld", "Env", "GridWorld"]
+
+
+@runtime_checkable
+class Env(Protocol):
+    """What ``trainer`` and ``harness`` use of an environment.
+
+    ``reset(seed)`` starts a trial: a generated env draws its start from
+    ``seed``, while one built by ``from_text`` restores its parsed start and
+    only reseeds its own dynamics. ``step`` returns (next state, outcome,
+    event), where the event names an early end such as ``"lava"`` or is None.
+    ``mask_for`` is False for each action that would certainly fail.
+    """
+
+    n_actions: int
+    terminal: bool
+
+    def reset(self, seed: Optional[int] = None) -> object: ...
+    def step(self, action: int) -> tuple[object, StepOutcome, Optional[str]]: ...
+    def mask_for(self, state: object) -> list[bool]: ...
+    def ideal_actions(self) -> int: ...
+    def situation_removal_check(self, progress_before: float, progress_after: float) -> bool: ...
+    def instant_reward_override(self, outcome: StepOutcome, reward_kind: str) -> Optional[float]: ...

@@ -28,8 +28,6 @@ BlockState = tuple  # (held flag, per-cell heights)
 class BlockWorld:
     """Single-owner, seedable block-manipulation environment."""
 
-    name = "blockworld"
-
     def __init__(
         self,
         task: str = "stack",
@@ -85,6 +83,8 @@ class BlockWorld:
         self.step_count = 0
         self.terminal = False
         self.rng = random.Random(0)
+        # Set by from_text: (stacks, gripper, removed) that every reset restores.
+        self._start: Optional[tuple] = None
 
     # -- action coding ----------------------------------------------------
 
@@ -106,19 +106,25 @@ class BlockWorld:
     # -- lifecycle --------------------------------------------------------
 
     def reset(self, seed: Optional[int] = None) -> BlockState:
-        """Scatter all blocks as singletons on distinct cells; rescatters
-        until the task is not already complete."""
+        """Scatter all blocks as singletons on distinct cells, rescattering
+        until the task is not already complete; an env built by
+        ``from_text`` restores its parsed arrangement instead."""
         if seed is not None:
             self.rng = random.Random(seed)
-        while True:
-            self.stacks = [[] for _ in range(self.n_cells)]
-            self.gripper = None
-            self.removed = set()
-            cells = self.rng.sample(range(self.n_cells), self.num_blocks)
-            for block, cell in enumerate(cells):
-                self.stacks[cell].append(block)
-            if self.progress() < 1.0:
-                break
+        if self._start is not None:
+            stacks, self.gripper, removed = self._start
+            self.stacks = [list(s) for s in stacks]
+            self.removed = set(removed)
+        else:
+            while True:
+                self.stacks = [[] for _ in range(self.n_cells)]
+                self.gripper = None
+                self.removed = set()
+                cells = self.rng.sample(range(self.n_cells), self.num_blocks)
+                for block, cell in enumerate(cells):
+                    self.stacks[cell].append(block)
+                if self.progress() < 1.0:
+                    break
         self.step_count = 0
         self.terminal = False
         return self.state()
@@ -325,8 +331,10 @@ class BlockWorld:
 
     @classmethod
     def from_text(cls, text: str, **kwargs) -> "BlockWorld":
+        """The arrangement written by ``to_text``; every reset restores it.
+        Blocks it does not name count as removed."""
         env = cls(**kwargs)
-        seen: set[int] = set()
+        seen: list[int] = []
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -334,15 +342,23 @@ class BlockWorld:
             if line.startswith("cell "):
                 head, _, ids = line.partition(":")
                 _, x, y = head.split()
-                blocks = [int(b) for b in ids.split()]
-                env.stacks[int(y) * env.width + int(x)] = blocks
-                seen.update(blocks)
+                x, y = int(x), int(y)
+                if not (0 <= x < env.width and 0 <= y < env.height):
+                    raise ValueError(f"cell {x} {y} is off the {env.width}x{env.height} board")
+                cell = y * env.width + x
+                if env.stacks[cell]:
+                    raise ValueError(f"cell {x} {y} is named twice")
+                env.stacks[cell] = [int(b) for b in ids.split()]
+                seen += env.stacks[cell]
             elif line.startswith("gripper:"):
                 holder = line.split(":", 1)[1].strip()
                 if holder != "empty":
                     env.gripper = int(holder)
-                    seen.add(env.gripper)
+                    seen.append(env.gripper)
             else:
                 raise ValueError(f"unparseable state line {line!r}")
-        env.removed = set(range(env.num_blocks)) - seen
+        if len(set(seen)) != len(seen) or not set(seen) <= set(range(env.num_blocks)):
+            raise ValueError(f"block ids must be distinct and below {env.num_blocks}")
+        env.removed = set(range(env.num_blocks)) - set(seen)
+        env._start = ([list(s) for s in env.stacks], env.gripper, set(env.removed))
         return env

@@ -72,7 +72,6 @@ class GridWorld:
 
     n_actions = 3
     action_types = ACTION_TYPES
-    name = "gridworld"
 
     def __init__(
         self,
@@ -97,6 +96,8 @@ class GridWorld:
         self._dist: dict[tuple[int, int], int] = {}
         self._layout_key: tuple[tuple, tuple] = ((), ())
         self._ideal = 0
+        # Set by from_text: every reset replays the parsed layout.
+        self._fixed_layout = False
         # drawn gap rows -> (cells, distance field, layout key, ideal
         # actions), or None when the goal cannot be reached from the start.
         self._layouts: dict[tuple[int, ...], Optional[tuple]] = {}
@@ -113,8 +114,10 @@ class GridWorld:
         return g
 
     def reset(self, seed: Optional[int] = None) -> GridState:
-        """Reset the agent (and, when a seed is given, draw a new layout)."""
-        if seed is not None:
+        """Put the agent on the start cell facing east. A seed draws a new
+        layout, except on an env built by ``from_text``, which keeps its
+        parsed layout; a seedless reset keeps the current layout."""
+        if seed is not None and not self._fixed_layout:
             rng = random.Random(seed)
             while True:
                 gaps = tuple(rng.choice(GAP_ROWS) for _ in LAVA_COLUMNS)
@@ -126,11 +129,6 @@ class GridWorld:
             self.cells, self._dist, self._layout_key, self._ideal = layout
         elif not self.cells:
             raise GenerationError("no layout: reset needs a seed the first time")
-        else:
-            survey = self._survey()
-            if survey is None:
-                raise GenerationError("start unreachable from goal")
-            self._dist, self._layout_key, self._ideal = survey
         self.agent_x, self.agent_y = self.start
         self.heading = "E"
         self.consecutive_turns = 0
@@ -357,7 +355,12 @@ class GridWorld:
 
     @classmethod
     def from_text(cls, text: str, action_limit: int = 100) -> "GridWorld":
+        """The grid drawn by ``to_text``, with the agent's glyph cell as the
+        start; every reset replays this layout from the start facing east.
+        The glyph's heading holds only until the first reset."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty grid text")
         height = len(lines)
         width = len(lines[0])
         glyph_heading = {v: k for k, v in HEADING_GLYPHS.items()}
@@ -383,9 +386,17 @@ class GridWorld:
             cells.append(row)
         if agent is None or goal is None:
             raise ValueError("grid text needs an agent glyph and a goal")
+        border = lines[0] + lines[-1] + "".join(ln[0] + ln[-1] for ln in lines)
+        if set(border) != {WALL}:
+            raise ValueError("grid text needs a full '#' border")
         g = cls(width=width, height=height, action_limit=action_limit,
                 start=agent, goal=goal)
-        g.cells = cells
+        g.cells = tuple(map(tuple, cells))
+        survey = g._survey()
+        if survey is None:
+            raise GenerationError("start unreachable from goal")
+        g._dist, g._layout_key, g._ideal = survey
+        g._fixed_layout = True
         g.reset()
         g.heading = heading
         return g

@@ -38,14 +38,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-import random
 import traceback
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
-from .envs.blockworld import TASKS, BlockWorld
-from .envs.gridworld import GridWorld
+from .envs import BlockWorld, Env, GridWorld
+from .envs.blockworld import TASKS
 from .qfunction import LinearQ, QFunction, TabularQ, dump_qfunction, parse_qdump
 from .rewards import REWARD_KINDS, ConfigError, RewardConfig
 from .trainer import AgentConfig, StepTrace, TrialRecord, evaluate, run_training
@@ -248,18 +247,22 @@ class RunConfig:
             **{name: getattr(self, name) for name in _AGENT_FIELDS},
         )
 
-    def make_env(self):
-        kwargs = {} if self.action_limit is None else {"action_limit": self.action_limit}
+    def make_env(self, text: Optional[str] = None) -> Env:
+        """A fresh env, or with ``text`` one built by its ``from_text`` (so
+        every reset replays that start)."""
+        kwargs: dict = {} if self.action_limit is None else {"action_limit": self.action_limit}
         if self.environment == "gridworld":
-            return GridWorld(**kwargs)
-        return BlockWorld(task=self.task, goal_size=self.goal_size,
-                          num_blocks=self.num_blocks, **kwargs)
+            cls = GridWorld
+        else:
+            cls = BlockWorld
+            kwargs.update(task=self.task, goal_size=self.goal_size, num_blocks=self.num_blocks)
+        return cls(**kwargs) if text is None else cls.from_text(text, **kwargs)
 
     def make_q(self) -> QFunction:
         env = self.make_env()
         if self.environment == "gridworld":
             return TabularQ(env.n_actions)
-        return block_q(env)
+        return LinearQ(env)
 
     def flat_items(self) -> list[tuple[str, str]]:
         """The config as sorted flat key=value pairs (round-trips through
@@ -473,11 +476,6 @@ def qdump_header(rc: RunConfig) -> dict[str, str]:
     return header
 
 
-def block_q(env: BlockWorld) -> LinearQ:
-    """The block world's Q-function: one weight per feature id of ``env``."""
-    return LinearQ(env)
-
-
 def load_qdump(path: Path) -> tuple[QFunction, dict[str, str]]:
     """Rebuild a Q-function (and its header fields) from a qtable.txt."""
     fields, rows = parse_qdump(path.read_text())
@@ -487,46 +485,6 @@ def load_qdump(path: Path) -> tuple[QFunction, dict[str, str]]:
         q = TabularQ(int(fields["n_actions"]))
     q.load_records(rows)
     return q, fields
-
-
-class FixedLayout:
-    """Environment wrapper that pins the current layout: reset re-places the
-    agent but never redraws, so every trial replays the same map."""
-
-    def __init__(self, env):
-        self._env = env
-
-    def reset(self, seed: Optional[int] = None):
-        return self._env.reset(None)
-
-    def __getattr__(self, name):
-        return getattr(self._env, name)
-
-
-class FixedScenario:
-    """Block-world wrapper that pins a serialized arrangement: every reset
-    restores the same stacks and gripper contents (reseeding only the
-    topple/scatter draws), so trials replay one scripted scenario."""
-
-    def __init__(self, env):
-        self._env = env
-        self._stacks = [list(s) for s in env.stacks]
-        self._gripper = env.gripper
-        self._removed = set(env.removed)
-
-    def reset(self, seed: Optional[int] = None):
-        env = self._env
-        if seed is not None:
-            env.rng = random.Random(seed)
-        env.stacks = [list(s) for s in self._stacks]
-        env.gripper = self._gripper
-        env.removed = set(self._removed)
-        env.step_count = 0
-        env.terminal = False
-        return env.state()
-
-    def __getattr__(self, name):
-        return getattr(self._env, name)
 
 
 # -- sweeps ---------------------------------------------------------------

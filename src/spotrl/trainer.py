@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import replay, seeding, spotq
+from .envs import Env
 from .qfunction import QFunction, TabularQ
 from .replay import Experience, ReplayBuffer
 from .rewards import ConfigError, RewardConfig, instant_reward
@@ -31,6 +32,13 @@ TERMINATION_COMPLETE = "Complete"
 TERMINATION_LIMIT = "ActionLimit"
 TERMINATION_SR = "SituationRemoval"
 TERMINATION_LAVA = "LavaDeath"
+
+
+def termination_label(task_complete: bool, event: Optional[str]) -> str:
+    """How a trial that the env ended (or that ran out of actions) ended."""
+    if task_complete:
+        return TERMINATION_COMPLETE
+    return TERMINATION_LAVA if event == "lava" else TERMINATION_LIMIT
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,7 @@ def check_allowed(mask: list, action: int) -> None:
             f"masked policy executed disallowed action {action}")
 
 
-def run_validation(q, env_factory, cfg: AgentConfig, round_index: int) -> int:
+def run_validation(q, env_factory: Callable[[], Env], cfg: AgentConfig, round_index: int) -> int:
     """Greedy-policy probe on fresh evaluation-range seeds; returns the
     number of completed trials. No learning, no situation removal."""
     stream = seeding.stream(cfg.seed, f"val-{round_index}")
@@ -153,14 +161,14 @@ def run_validation(q, env_factory, cfg: AgentConfig, round_index: int) -> int:
     return completed
 
 
-def run_greedy_trial(q, env, use_mask: bool, rng: random.Random) -> TrialRecord:
+def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random) -> TrialRecord:
     state = env.reset(seeding.eval_env_seed(rng))
     ideal = env.ideal_actions()
     attempts: dict = {}
     successes: dict = {}
     steps = 0
-    termination = TERMINATION_LIMIT
     completed = False
+    event = None
     while not env.terminal:
         mask = env.mask_for(state) if use_mask else [True] * env.n_actions
         action = masked_argmax(q, state, mask, rng)
@@ -171,11 +179,7 @@ def run_greedy_trial(q, env, use_mask: bool, rng: random.Random) -> TrialRecord:
         attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
         if outcome.success:
             successes[outcome.action_type] = successes.get(outcome.action_type, 0) + 1
-        if outcome.task_complete:
-            completed = True
-            termination = TERMINATION_COMPLETE
-        elif event == "lava":
-            termination = TERMINATION_LAVA
+        completed = outcome.task_complete
     return TrialRecord(
         trial_id=0,
         completed=completed,
@@ -183,12 +187,12 @@ def run_greedy_trial(q, env, use_mask: bool, rng: random.Random) -> TrialRecord:
         ideal_actions=ideal,
         attempts=attempts,
         successes=successes,
-        termination=termination,
+        termination=termination_label(completed, event),
     )
 
 
 def run_training(
-    env_factory: Callable[[], object],
+    env_factory: Callable[[], Env],
     cfg: AgentConfig,
     q: Optional[QFunction] = None,
     observer=None,
@@ -296,14 +300,8 @@ def run_training(
                         stop = True
 
             if terminal:
-                if sr_cut:
-                    termination = TERMINATION_SR
-                elif outcome.task_complete:
-                    termination = TERMINATION_COMPLETE
-                elif event == "lava":
-                    termination = TERMINATION_LAVA
-                else:
-                    termination = TERMINATION_LIMIT
+                termination = (TERMINATION_SR if sr_cut
+                               else termination_label(outcome.task_complete, event))
                 break
             if actions_done >= cfg.training_action_budget or stop:
                 break
@@ -331,7 +329,7 @@ def run_training(
 
 def evaluate(
     q: QFunction,
-    env_factory: Callable[[], object],
+    env_factory: Callable[[], Env],
     n_trials: int,
     seed: int,
     use_mask: bool = True,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spotrl.envs.blockworld import TASKS, BlockWorld
-from spotrl.harness import block_q
+from spotrl.qfunction import LinearQ
 
 from oracles import (
     ScriptedRandom,
@@ -434,6 +434,62 @@ def test_from_text_rejects_garbage():
         BlockWorld.from_text("blocks everywhere")
 
 
+def test_from_text_rejects_an_off_board_cell():
+    with pytest.raises(ValueError, match="off the 4x4 board"):
+        world("cell 9 9: 0\ngripper: empty")
+
+
+def test_from_text_rejects_a_negative_cell():
+    """A negative coordinate would otherwise index a cell from the far end."""
+    with pytest.raises(ValueError, match="off the 4x4 board"):
+        world("cell -1 0: 0\ngripper: empty")
+
+
+def test_from_text_rejects_a_cell_named_twice():
+    """The second line would overwrite the first, losing its blocks."""
+    with pytest.raises(ValueError, match="named twice"):
+        world("cell 0 0: 0\ncell 0 0: 1\ngripper: empty")
+
+
+def test_from_text_rejects_repeated_or_unknown_block_ids():
+    for text in ("cell 0 0: 0 0\ngripper: empty",
+                 "cell 0 0: 0\ngripper: 0",
+                 "cell 0 0: 0\ncell 1 0: 0\ngripper: empty",
+                 "cell 0 0: 7\ngripper: empty"):
+        with pytest.raises(ValueError, match="distinct and below 4"):
+            world(text)
+
+
+def test_from_text_world_replays_its_start_on_every_reset():
+    """Stacks, gripper and banked blocks all come back on every reset,
+    whatever the seed, and so does the ideal action count."""
+    env = world("cell 0 0: 0 1\ngripper: 2", task="clear")
+    text, state = env.to_text(), env.state()
+    assert env.removed == {3}
+    for seed in (0, 1, 7, 12345):
+        env.step(16 + 5)  # place the held block on cell (1, 1)
+        env.step(0)  # bank block 1
+        assert env.removed == {1, 3}
+        assert env.reset(seed) == state
+        assert env.to_text() == text and env.removed == {3}
+        assert env.ideal_actions() == 4
+
+
+def test_from_text_world_reseeds_its_topple_draws():
+    """Resets with the same seed give the same topple draws; other seeds
+    topple or scatter differently."""
+    env = world("cell 1 1: 0 1 2\ngripper: 3", topple_base=0.5)
+
+    def after_place(seed):
+        env.reset(seed)
+        env.step(16 + 5)  # place on the 3-stack: a coin flip topples it
+        return env.to_text()
+
+    first = {seed: after_place(seed) for seed in range(20)}
+    assert {seed: after_place(seed) for seed in range(20)} == first
+    assert len(set(first.values())) > 2
+
+
 # -- features ---------------------------------------------------------------
 
 
@@ -557,7 +613,7 @@ def test_block_q_row_matches_value_bitwise(task, seed, steps, data):
     """After updates on visited states, and with some weights loaded as
     -0.0, each row entry is the very float value() returns."""
     env, states = walk_states(task, seed, steps)
-    q = block_q(env)
+    q = LinearQ(env)
     for state in states:
         action = data.draw(st.integers(0, env.n_actions - 1))
         q.update(state, action, data.draw(st.floats(-4, 4)), data.draw(st.floats(0, 1)))

@@ -148,11 +148,11 @@ def test_layout_keys_hash_and_print_as_plain_tuples():
 
 
 def test_reset_without_seed_surveys_the_current_cells():
-    """from_text and a seedless reset compute the distance field, layout key
-    and ideal action count from the cells the env holds."""
-    g = GridWorld.from_text(OPEN_9X9)
-    assert g.ideal_actions() == pose_graph_shortest(g) == 17  # 16 moves, 1 turn
-    g.cells[1][2] = "L"  # lava right ahead of the start pose
+    """from_text computes the distance field, layout key and ideal action
+    count from the cells it parsed."""
+    open_grid = GridWorld.from_text(OPEN_9X9)
+    assert open_grid.ideal_actions() == pose_graph_shortest(open_grid) == 17  # 16 moves, 1 turn
+    g = GridWorld.from_text(OPEN_9X9.replace("#>.", "#>L"))  # lava ahead of the start
     state = g.reset()
     assert state[3] == ((), ((2, 1),))
     assert g.distance_field() == cell_distance_field(g)
@@ -415,6 +415,37 @@ def test_reset_reuses_layout_without_seed():
     state = g.reset()
     assert state[:3] == (1, 1, "E")
     assert state[3] == layout
+
+
+def test_from_text_grid_replays_its_start_on_every_reset():
+    """A grid built from text restores its start on every seeded reset: the
+    glyph's cell facing east (the glyph's own heading holds only until the
+    first reset), the parsed layout and its ideal action count."""
+    g = GridWorld.from_text("""
+#########
+#.......#
+#.^.L...#
+#...L..G#
+#########
+""")
+    assert g.heading == "N"
+    key = g.state()[3]
+    ideal = g.ideal_actions()
+    assert ideal == pose_graph_shortest(g)
+    for seed in (0, 1, 7, 12345):
+        g.step(FORWARD)
+        assert g.reset(seed) == (2, 2, "E", key)
+        assert g.ideal_actions() == ideal
+        assert g.distance_field() == cell_distance_field(g)
+
+
+def test_from_text_rejects_grids_without_a_full_border():
+    """Without a '#' border a step or the goal search would index off the
+    grid (or wrap to the far side on a negative index)."""
+    for text in (">.G", "####\n#>.G\n####", "#.##\n#>G#\n####",
+                 "####\n#>G#\n#.##", "####\n>.G#\n####", ""):
+        with pytest.raises(ValueError):
+            GridWorld.from_text(text)
 
 
 def test_from_text_rejects_bad_grids():

@@ -13,6 +13,7 @@ import pytest
 from spotrl import harness
 from spotrl.cli import main
 from spotrl.envs.blockworld import BlockWorld
+from spotrl.envs.gridworld import GridWorld
 from spotrl.qfunction import LinearQ, TabularQ
 from spotrl.rewards import REWARD_KINDS, ConfigError, RewardConfig
 from spotrl.trainer import TERMINATION_COMPLETE, TERMINATION_LIMIT, AgentConfig, evaluate
@@ -690,6 +691,41 @@ def test_cli_eval_fixed_grid_replay(trained_grid, tmp_path, capsys):
                  "--grid", str(grid), "--scenario", str(grid)])
     assert code == 2  # mutually exclusive
     capsys.readouterr()
+
+
+def test_cli_eval_grid_replays_the_file_layout(trained_grid, tmp_path, capsys):
+    """Every --grid trial starts on the file's layout: each CSV row holds
+    that layout's ideal count, not one of a generated 9x9 layout."""
+    text = "#########\n#.......#\n#.^.L...#\n#...L..G#\n#########\n"
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    for mask in ("--mask", "--no-mask"):
+        assert main(["eval", "--model", str(trained_grid / "qtable.txt"), "--trials", "6",
+                     mask, "--grid", str(grid), "--out", str(tmp_path / "eval.json")]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(tmp_path / "eval.csv")
+        assert len(rows) == 6
+        assert {r[3] for r in rows} == {str(GridWorld.from_text(text).ideal_actions())}
+
+
+def test_cli_eval_bad_start_files_exit_2(trained_run, trained_grid, tmp_path, capsys):
+    """A malformed --scenario or --grid file exits 2 with an error, not a
+    traceback."""
+    block_model = trained_run[1] / "qtable.txt"
+    cases = [("scenario", block_model, "cell 9 9: 0\ngripper: empty\n"),
+             ("scenario", block_model, "cell -1 0: 0\ngripper: empty\n"),
+             ("scenario", block_model, "cell 0 0: 0\ngripper: 0\n"),
+             ("scenario", block_model, "cell 0 0: 7\ngripper: empty\n"),
+             ("grid", trained_grid / "qtable.txt", ">.G\n")]
+    for flag, model, text in cases:
+        start = tmp_path / "start.txt"
+        start.write_text(text)
+        out = tmp_path / "eval.json"
+        code = main(["eval", "--model", str(model), f"--{flag}", str(start),
+                     "--out", str(out)])
+        assert code == 2, text
+        assert capsys.readouterr().err.startswith(f"error: bad {flag} file")
+        assert not out.exists()
 
 
 def test_cli_eval_grid_needs_a_gridworld_model(trained_run, tmp_path, capsys):

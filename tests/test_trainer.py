@@ -5,6 +5,7 @@ import random
 import pytest
 
 from spotrl import seeding, trainer
+from spotrl.envs import Env
 from spotrl.envs.blockworld import BlockWorld
 from spotrl.envs.gridworld import GridWorld
 from spotrl.qfunction import TabularQ
@@ -122,6 +123,12 @@ def test_select_action_exploration_draws():
     picks = {select_action(q, "s", None, 1.0, random.Random(i), CountingRandom(1), 3)
              for i in range(30)}
     assert picks == {0, 1, 2}
+
+
+def test_every_env_satisfies_the_env_protocol():
+    for env in (GridWorld(), BlockWorld(), ChainEnv()):
+        assert isinstance(env, Env)
+    assert not isinstance(object(), Env)
 
 
 def test_every_env_step_returns_state_outcome_event():

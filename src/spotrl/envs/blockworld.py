@@ -332,7 +332,8 @@ class BlockWorld:
     @classmethod
     def from_text(cls, text: str, **kwargs) -> "BlockWorld":
         """The arrangement written by ``to_text``; every reset restores it.
-        Blocks it does not name count as removed."""
+        Blocks it does not name count as removed. Like a seeded reset, it
+        refuses a start that already completes the task."""
         env = cls(**kwargs)
         seen: list[int] = []
         for line in text.splitlines():
@@ -360,5 +361,7 @@ class BlockWorld:
         if len(set(seen)) != len(seen) or not set(seen) <= set(range(env.num_blocks)):
             raise ValueError(f"block ids must be distinct and below {env.num_blocks}")
         env.removed = set(range(env.num_blocks)) - set(seen)
+        if env.progress() >= 1.0:
+            raise ValueError(f"the arrangement already completes the {env.task} task")
         env._start = ([list(s) for s in env.stacks], env.gripper, set(env.removed))
         return env

@@ -357,7 +357,8 @@ class GridWorld:
     def from_text(cls, text: str, action_limit: int = 100) -> "GridWorld":
         """The grid drawn by ``to_text``, with the agent's glyph cell as the
         start; every reset replays this layout from the start facing east.
-        The glyph's heading holds only until the first reset."""
+        The glyph's heading holds only until the first reset. The text
+        needs exactly one agent glyph and one goal."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty grid text")
@@ -374,11 +375,15 @@ class GridWorld:
             row = []
             for x, ch in enumerate(line):
                 if ch in glyph_heading:
+                    if agent is not None:
+                        raise ValueError("grid text has more than one agent glyph")
                     agent = (x, y)
                     heading = glyph_heading[ch]
                     row.append(EMPTY)
                     continue
                 if ch == GOAL:
+                    if goal is not None:
+                        raise ValueError("grid text has more than one goal")
                     goal = (x, y)
                 if ch not in (EMPTY, WALL, LAVA, GOAL):
                     raise ValueError(f"unknown cell character {ch!r}")

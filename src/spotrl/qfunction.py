@@ -17,9 +17,9 @@ Reads come in two shapes: ``value(state, a)`` is one entry, and
 bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
 (greedy picks, ``best_value``, the SPOT-Q recomputation) reads one row, so a
 state is looked up or featurized once per scan rather than once per action.
-``LinearQ`` also keeps the feature ids of its last few states, so the
-handful of states one training action reads are featurized once, and a row
-is one gather from the flat weights.
+``LinearQ`` also keeps the feature ids of every state it has read, so a
+state is featurized once per Q-function, and a row is one gather from the
+flat weights; that memo grows with the distinct states visited.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
 and return the value they blended from, the same float ``value()`` read
@@ -122,11 +122,6 @@ class TabularQ(QFunction):
             written[int(action)] = True
 
 
-# How many states' feature ids a LinearQ keeps. A training action reads its
-# own state, a replayed pair and the next state; four covers that cycle.
-MEMO_STATES = 4
-
-
 class LinearQ(QFunction):
     """Q(state, action) = the weight of the action's one indicator feature.
 
@@ -134,9 +129,11 @@ class LinearQ(QFunction):
     gives one per action, ``feature_keys[id]`` is an id's key, and
     ``feature_id(key)`` gives a key's id, assigning one on first sight.
     Weights live in a flat list indexed by id as ``0.0 + weight`` (a loaded
-    -0.0 reads 0.0); unseen weights read 0. The ids of the last
-    :data:`MEMO_STATES` states read are kept, so ``feature_ids`` must be
-    pure; weights are never cached. A row is one gather from the flat list.
+    -0.0 reads 0.0); unseen weights read 0. Every state's ids are kept as
+    one tuple from its first read on, so ``feature_ids`` must be pure and
+    runs once per distinct state; the memo grows by about 0.8 KB per
+    distinct state over the block world's 96 actions. Weights are never
+    cached. A row is one gather from the flat list.
     """
 
     kind = "linear"
@@ -148,20 +145,15 @@ class LinearQ(QFunction):
         self._raw: dict[int, float] = {}
         # _flat[id] is 0.0 + the id's weight; grown to len(feature_keys) lazily.
         self._flat: list[float] = []
-        # state -> (its ids, an itemgetter of them that reads the row from
-        # _flat), for the last MEMO_STATES states read, oldest first.
-        self._memo: dict[Hashable, tuple[list[int], itemgetter]] = {}
+        # state -> its feature ids, by action id, for every state read.
+        self._ids: dict[Hashable, tuple[int, ...]] = {}
 
-    def _featurized(self, state: Hashable) -> tuple[list[int], itemgetter]:
-        entry = self._memo.get(state)
-        if entry is None:
-            ids = self.features.feature_ids(state)
+    def _featurized(self, state: Hashable) -> tuple[int, ...]:
+        ids = self._ids.get(state)
+        if ids is None:
+            ids = self._ids[state] = tuple(self.features.feature_ids(state))
             self._grow()
-            memo = self._memo
-            if len(memo) == MEMO_STATES:
-                del memo[next(iter(memo))]
-            entry = memo[state] = (ids, itemgetter(*ids))
-        return entry
+        return ids
 
     def _grow(self) -> None:
         """Cover every assigned id; an id with no weight yet reads 0.0."""
@@ -170,16 +162,16 @@ class LinearQ(QFunction):
             self._flat.extend([0.0] * missing)
 
     def value(self, state: Hashable, action_id: int) -> float:
-        return self._flat[self._featurized(state)[0][action_id]]
+        return self._flat[self._featurized(state)[action_id]]
 
     def row(self, state: Hashable) -> list[float]:
-        return list(self._featurized(state)[1](self._flat))
+        return list(itemgetter(*self._featurized(state))(self._flat))
 
     def best_value(self, state: Hashable) -> float:
-        return max(self._featurized(state)[1](self._flat))
+        return max(itemgetter(*self._featurized(state))(self._flat))
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
-        i = self._featurized(state)[0][action_id]
+        i = self._featurized(state)[action_id]
         flat = self._flat
         old = flat[i]
         weight = self._raw[i] = self._raw.get(i, 0.0) + lr * (target - old)

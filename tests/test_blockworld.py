@@ -22,6 +22,15 @@ def world(text, **kwargs):
     return BlockWorld.from_text(text, **kwargs)
 
 
+def arranged(stacks, **kwargs):
+    """A world with ``stacks`` ({cell: block ids}) placed directly, for an
+    arrangement from_text refuses as a start (one that completes its task)."""
+    env = BlockWorld(**kwargs)
+    for cell, blocks in stacks.items():
+        env.stacks[cell] = list(blocks)
+    return env
+
+
 TWO_STACK = """
 cell 0 0: 0 1
 cell 2 0: 2
@@ -89,7 +98,7 @@ def test_decode_covers_all_actions():
 def test_stack_progress_counts_tallest():
     env = world(TWO_STACK)
     assert env.progress() == 0.5
-    env = world("cell 1 2: 0 1 2 3\ngripper: empty")
+    env = arranged({9: [0, 1, 2, 3]})  # cell 1 2
     assert env.progress() == 1.0
 
 
@@ -97,8 +106,8 @@ def test_row_progress_counts_longest_run():
     line = "cell 0 0: 0\ncell 1 0: 1\ncell 2 0: 2\ncell 0 1: 3\ngripper: empty"
     env = world(line, task="row")
     assert env.progress() == 0.75  # the L-shape's best run is 3
-    vertical = "cell 2 0: 0\ncell 2 1: 1\ncell 2 2: 2\ncell 2 3: 3\ngripper: empty"
-    assert world(vertical, task="row").progress() == 1.0
+    vertical = {2: [0], 6: [1], 10: [2], 14: [3]}  # column x = 2
+    assert arranged(vertical, task="row").progress() == 1.0
     doubled = "cell 0 0: 0\ncell 1 0: 1 2\ncell 2 0: 3\ngripper: empty"
     assert world(doubled, task="row").progress() == 0.25  # a 2-stack breaks the run
 
@@ -458,6 +467,20 @@ def test_from_text_rejects_repeated_or_unknown_block_ids():
                  "cell 0 0: 7\ngripper: empty"):
         with pytest.raises(ValueError, match="distinct and below 4"):
             world(text)
+
+
+def test_from_text_rejects_a_start_that_completes_the_task():
+    """A seeded reset never starts on a finished task, so a parsed start may
+    not either: a 4-stack for stack, a full run for row, no blocks left on
+    the board for clear. One short of done still parses."""
+    done = {"stack": "cell 0 0: 0 1 2 3\ngripper: empty",
+            "row": "cell 0 1: 0\ncell 1 1: 1\ncell 2 1: 2\ncell 3 1: 3\ngripper: empty",
+            "clear": "gripper: empty"}
+    for task, text in done.items():
+        with pytest.raises(ValueError, match="completes"):
+            world(text, task=task)
+    assert world("cell 0 0: 0 1 2\ngripper: 3").progress() == 0.75
+    assert world("cell 0 0: 0\ngripper: empty", task="clear").progress() == 0.75
 
 
 def test_from_text_world_replays_its_start_on_every_reset():

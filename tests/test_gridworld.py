@@ -457,3 +457,9 @@ def test_from_text_rejects_bad_grids():
         GridWorld.from_text("####\n#>G\n####")  # ragged
     with pytest.raises(ValueError):
         GridWorld.from_text("####\n#>?#\n####")  # unknown cell character
+    # A second agent glyph or goal would otherwise win silently, moving the
+    # start or the goal and dropping the first from to_text().
+    for text in ("#####\n#>>G#\n#G..#\n#####", "#####\n#>^G#\n#...#\n#####",
+                 "#####\n#>.G#\n#G..#\n#####"):
+        with pytest.raises(ValueError, match="more than one"):
+            GridWorld.from_text(text)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from spotrl import harness
 from spotrl.envs.blockworld import TASKS, BlockWorld
 from spotrl.qfunction import (
     LinearQ,
@@ -12,6 +13,7 @@ from spotrl.qfunction import (
     dump_qfunction,
     parse_qdump,
 )
+from spotrl.trainer import run_training
 
 from oracles import KeyFeatures, PlainLinearQ, block_feature_key
 
@@ -166,10 +168,10 @@ def test_linear_records_use_feature_keys():
     assert q.records() == [("('s', 1)", -1, 0.5)]
 
 
-def test_linear_reuses_features_only_while_the_state_repeats():
-    """Featurizing is skipped for a state among the last four featurized,
-    never the weights: reads after an update are fresh, and a fifth state
-    evicts the first featurized of the four, however recently it was read."""
+def test_linear_featurizes_each_state_once():
+    """feature_ids runs once per distinct state for the life of the
+    Q-function, across more states than any short cycle and with revisits;
+    the weights are never cached: reads after an update are fresh."""
     seen = []
 
     def keys(state):
@@ -186,10 +188,45 @@ def test_linear_reuses_features_only_while_the_state_repeats():
     assert q.value("t", 0) == -1.0
     assert q.row("s") == [0.0, 0.5]
     assert seen == ["s", "t"]
-    for state in ("u", "v", "s", "w", "t", "s"):
+    for state in ("u", "v", "w", "x", "y", "s", "u", "t", "y", "s"):
         q.row(state)
-    assert seen == ["s", "t", "u", "v", "w", "s"]
-    assert q.row("s") == [0.0, 0.5]
+        q.best_value(state)
+    assert seen == ["s", "t", "u", "v", "w", "x", "y"]
+    q.update("s", 1, 1.0, 0.5)
+    assert q.row("s") == [0.0, 0.75] and q.best_value("s") == 0.75
+    assert q.value("t", 0) == -1.0 and q.row("x") == [0.0, 0.0]
+    assert seen == ["s", "t", "u", "v", "w", "x", "y"]
+
+
+def test_block_run_featurizes_each_state_once():
+    """On a short spotq+trial_progress block run (training and validation),
+    the Q-function's env runs feature_ids exactly once per distinct state
+    the trainer reads, although replay revisits states many times."""
+    rc = harness.resolve_run_config({
+        "env": "blockworld", "cell": "spotq+trial_progress", "seed": "0",
+        "budget": "400", "validation_every": "200", "validation_trials": "3",
+    })
+    q = rc.make_q()
+    featurized, reads = [], []
+    feature_ids = q.features.feature_ids
+
+    def counting_feature_ids(state):
+        featurized.append(state)
+        return feature_ids(state)
+
+    def reading(method):
+        def read(state, *args):
+            reads.append(state)
+            return method(state, *args)
+        return read
+
+    q.features.feature_ids = counting_feature_ids
+    for name in ("row", "value", "best_value", "update"):
+        setattr(q, name, reading(getattr(q, name)))
+    run_training(rc.make_env, rc.agent_config(), q=q)
+    assert len(featurized) == len(set(reads)) > 4
+    assert set(featurized) == set(reads)
+    assert len(reads) > 4 * len(featurized)
 
 
 MEMO_CASES = {
@@ -207,10 +244,10 @@ MEMO_OPS = st.lists(st.one_of(
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 @given(ops=MEMO_OPS)
 def test_linear_matches_the_plain_reference(case, ops):
-    """Through more states than the memo holds, revisited, with updates and
-    -0.0 weights loaded in between (keys loaded before any read gave them an
-    id too), every row, value and update return is the float a LinearQ
-    without memo or ids gives."""
+    """Through eight states, each revisited, with updates and -0.0 weights
+    loaded in between (keys loaded before any read gave them an id too),
+    every row, value and update return is the float a LinearQ without the
+    per-state id memo or ids gives."""
     n_actions, keys = MEMO_CASES[case]
     space = KeyFeatures(n_actions, keys)
     q, ref = LinearQ(space), PlainLinearQ(n_actions, space.featurize)

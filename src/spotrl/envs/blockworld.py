@@ -333,7 +333,8 @@ class BlockWorld:
     def from_text(cls, text: str, **kwargs) -> "BlockWorld":
         """The arrangement written by ``to_text``; every reset restores it.
         Blocks it does not name count as removed. Like a seeded reset, it
-        refuses a start that already completes the task."""
+        refuses a start that already completes the task, and one that
+        cannot: a stack or row start naming fewer than ``goal_size`` blocks."""
         env = cls(**kwargs)
         seen: list[int] = []
         for line in text.splitlines():
@@ -360,6 +361,8 @@ class BlockWorld:
                 raise ValueError(f"unparseable state line {line!r}")
         if len(set(seen)) != len(seen) or not set(seen) <= set(range(env.num_blocks)):
             raise ValueError(f"block ids must be distinct and below {env.num_blocks}")
+        if env.task != "clear" and len(seen) < env.goal_size:
+            raise ValueError(f"the {env.task} task needs {env.goal_size} blocks, not {len(seen)}")
         env.removed = set(range(env.num_blocks)) - set(seen)
         if env.progress() >= 1.0:
             raise ValueError(f"the arrangement already completes the {env.task} task")

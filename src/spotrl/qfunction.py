@@ -15,11 +15,16 @@ Two implementations share the interface:
 Reads come in two shapes: ``value(state, a)`` is one entry, and
 ``row(state)`` is the list of every action's value at ``state``, each entry
 bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
-(greedy picks, ``best_value``, the SPOT-Q recomputation) reads one row, so a
-state is looked up or featurized once per scan rather than once per action.
-``LinearQ`` also keeps the feature ids of every state it has read, so a
-state is featurized once per Q-function, and a row is one gather from the
-flat weights; that memo grows with the distinct states visited.
+(masked greedy picks, ``best_value``) reads one row, so a state is looked up
+or featurized once per scan rather than once per action. ``greedy(state,
+tie_rng)`` is the unrestricted greedy pick (``spotq.masked_argmax`` with no
+mask): the best-valued action, exact ties broken by one draw, the same pick
+and the same draw as a scan of the row. ``LinearQ`` also keeps the feature
+ids of every state it has read, so a state is featurized once per
+Q-function, and a row is one gather from the flat weights; ``best_value``
+and ``greedy`` read only the state's distinct ids (12-18 of the block
+world's 96), because actions sharing an id share its weight. That memo
+grows with the distinct states visited.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
 and return the value they blended from, the same float ``value()`` read
@@ -29,12 +34,25 @@ loss) makes one call instead of a read and then an update.
 from __future__ import annotations
 
 import ast
+import random
 from operator import itemgetter
 from typing import Hashable, Iterable
 
 
+def _drawn_position(seq, x, tie_rng: random.Random) -> int:
+    """The first position of ``x`` in ``seq``, or, when ``x`` occurs more
+    than once, the occurrence one ``tie_rng.randrange(count)`` draw names,
+    counting in ascending order."""
+    a = seq.index(x)
+    n = seq.count(x)
+    if n > 1:
+        for _ in range(tie_rng.randrange(n)):
+            a = seq.index(x, a + 1)
+    return a
+
+
 class QFunction:
-    """Interface: value / row / update plus text serialization."""
+    """Interface: value / row / greedy / update plus text serialization."""
 
     n_actions: int
 
@@ -54,6 +72,14 @@ class QFunction:
         """max_a Q(state, a) over the full action set."""
         return max(self.row(state))
 
+    def greedy(self, state: Hashable, tie_rng: random.Random) -> int:
+        """argmax_a Q(state, a) over the full action set. Exact ties are
+        listed in ascending action order and broken by one
+        ``tie_rng.randrange(len(tied))`` draw, made only when more than one
+        action ties: ``spotq.masked_argmax``'s rule under an all-true mask."""
+        values = self.row(state)
+        return _drawn_position(values, max(values), tie_rng)
+
     def records(self) -> list[tuple[str, int, float]]:
         """Sorted (key, action, value) text records for diff-able dumps."""
         raise NotImplementedError
@@ -66,8 +92,8 @@ class TabularQ(QFunction):
     value, ``initial`` where never written, and ``written`` flags the
     actions that were written (or loaded). Records and ``len()`` see only
     the flagged entries, so a dump lists exactly what was written.
-    ``row`` returns a copy of the stored row; ``best_value`` takes its
-    maximum in place."""
+    ``row`` returns a copy of the stored row; ``best_value`` and ``greedy``
+    read it in place."""
 
     kind = "tabular"
 
@@ -96,6 +122,11 @@ class TabularQ(QFunction):
     def best_value(self, state: Hashable) -> float:
         entry = self._table.get(state)
         return self.initial if entry is None else max(entry[0])
+
+    def greedy(self, state: Hashable, tie_rng: random.Random) -> int:
+        entry = self._table.get(state)
+        values = [self.initial] * self.n_actions if entry is None else entry[0]
+        return _drawn_position(values, max(values), tie_rng)
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
         row, written = self._table.get(state) or self._entry(state)
@@ -132,8 +163,11 @@ class LinearQ(QFunction):
     -0.0 reads 0.0); unseen weights read 0. Every state's ids are kept as
     one tuple from its first read on, so ``feature_ids`` must be pure and
     runs once per distinct state; the memo grows by about 0.8 KB per
-    distinct state over the block world's 96 actions. Weights are never
-    cached. A row is one gather from the flat list.
+    distinct state over the block world's 96 actions. A state read by
+    ``best_value`` or ``greedy`` also keeps its distinct ids, in order of
+    first occurrence, and a getter over them: about 0.3 KB more. Weights
+    are never cached. A row is one gather from the flat list; ``best_value``
+    is the maximum of the distinct weights, the same float as the row's.
     """
 
     kind = "linear"
@@ -147,6 +181,9 @@ class LinearQ(QFunction):
         self._flat: list[float] = []
         # state -> its feature ids, by action id, for every state read.
         self._ids: dict[Hashable, tuple[int, ...]] = {}
+        # state -> (ids, distinct ids, getter of their weights), for every
+        # state best_value or greedy read.
+        self._distinct: dict[Hashable, tuple] = {}
 
     def _featurized(self, state: Hashable) -> tuple[int, ...]:
         ids = self._ids.get(state)
@@ -154,6 +191,17 @@ class LinearQ(QFunction):
             ids = self._ids[state] = tuple(self.features.feature_ids(state))
             self._grow()
         return ids
+
+    def _distinct_ids(self, state: Hashable) -> tuple:
+        entry = self._distinct.get(state)
+        if entry is None:
+            ids = self._featurized(state)
+            distinct = tuple(dict.fromkeys(ids))
+            get = itemgetter(*distinct)
+            if len(distinct) == 1:  # itemgetter of one item returns it bare
+                get = lambda flat, one=get: (one(flat),)
+            entry = self._distinct[state] = (ids, distinct, get)
+        return entry
 
     def _grow(self) -> None:
         """Cover every assigned id; an id with no weight yet reads 0.0."""
@@ -168,7 +216,17 @@ class LinearQ(QFunction):
         return list(itemgetter(*self._featurized(state))(self._flat))
 
     def best_value(self, state: Hashable) -> float:
-        return max(itemgetter(*self._featurized(state))(self._flat))
+        return max(self._distinct_ids(state)[2](self._flat))
+
+    def greedy(self, state: Hashable, tie_rng: random.Random) -> int:
+        ids, distinct, get = self._distinct_ids(state)
+        weights = get(self._flat)
+        best = max(weights)
+        if weights.count(best) > 1:
+            # Several ids hold the best weight: tie over the whole row.
+            return QFunction.greedy(self, state, tie_rng)
+        # One id holds it; the tied actions are that id's positions.
+        return _drawn_position(ids, distinct[weights.index(best)], tie_rng)
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
         i = self._featurized(state)[action_id]

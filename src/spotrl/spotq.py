@@ -17,7 +17,8 @@ from typing import Callable, Hashable, Optional, Sequence
 
 from .qfunction import QFunction
 
-# A mask is any sequence of booleans indexed by action id.
+# A mask is any sequence of booleans indexed by action id; where a mask is
+# optional, None means every action is allowed.
 ActionMask = Sequence[bool]
 MaskFn = Callable[[Hashable], ActionMask]
 
@@ -64,12 +65,17 @@ class SpotQTargets:
         return f"SpotQTargets{self._fields()!r}"
 
 
-def masked_argmax(q: QFunction, state: Hashable, mask: ActionMask, tie_rng: random.Random) -> int:
+def masked_argmax(q: QFunction, state: Hashable, mask: Optional[ActionMask],
+                  tie_rng: random.Random) -> int:
     """Highest-valued allowed action; exact ties broken uniformly.
 
     The tie draw consumes randomness only when there really is a tie, so
     deterministic replays are unaffected by states with a unique maximizer.
+    ``mask=None`` means unrestricted: the pick is ``q.greedy``, the same
+    action and draw as an all-true mask.
     """
+    if mask is None:
+        return q.greedy(state, tie_rng)
     values = q.row(state)
     best_value = None
     tied: list[int] = []
@@ -129,7 +135,7 @@ def targets(
         # so fully-permissive masks leave no trace (not even tie draws).
         return SpotQTargets(executed)
 
-    greedy = masked_argmax(q, state, [True] * len(mask), tie_rng)
+    greedy = masked_argmax(q, state, None, tie_rng)
     if mask[greedy]:
         return SpotQTargets(executed)
     masked_target = learn_discount * q.value(next_state, greedy)

@@ -122,7 +122,7 @@ def select_action(
         if not allowed:
             raise spotq.EmptyActionSpaceError("empty dynamic action space")
         return allowed[rng.randrange(len(allowed))]
-    return masked_argmax(q, state, mask if mask is not None else [True] * n_actions, tie_rng)
+    return masked_argmax(q, state, mask, tie_rng)
 
 
 def masked_policy_flag(q: QFunction, state, mask: list) -> bool:
@@ -170,7 +170,7 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random) -> TrialRe
     completed = False
     event = None
     while not env.terminal:
-        mask = env.mask_for(state) if use_mask else [True] * env.n_actions
+        mask = env.mask_for(state) if use_mask else None
         action = masked_argmax(q, state, mask, rng)
         if use_mask:
             check_allowed(mask, action)

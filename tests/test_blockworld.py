@@ -483,6 +483,19 @@ def test_from_text_rejects_a_start_that_completes_the_task():
     assert world("cell 0 0: 0\ngripper: empty", task="clear").progress() == 0.75
 
 
+def test_from_text_rejects_a_start_with_too_few_blocks():
+    """A stack or row start needs goal_size blocks on the board or held;
+    with fewer no trial could complete it (with none, every action is
+    masked). Clear counts unnamed blocks as banked progress instead."""
+    for task in ("stack", "row"):
+        for text in ("cell 0 0: 0 1\ngripper: empty", "cell 0 0: 0\ncell 2 2: 1\ngripper: 2",
+                     "gripper: 2", "gripper: empty"):
+            with pytest.raises(ValueError, match=f"{task} task needs 4 blocks"):
+                world(text, task=task)
+    assert world("cell 0 0: 0\ngripper: 1", goal_size=2).progress() == 0.5
+    assert world("cell 0 0: 0 1\ngripper: empty", task="clear").progress() == 0.5
+
+
 def test_from_text_world_replays_its_start_on_every_reset():
     """Stacks, gripper and banked blocks all come back on every reset,
     whatever the seed, and so does the ideal action count."""

@@ -710,14 +710,16 @@ def test_cli_eval_grid_replays_the_file_layout(trained_grid, tmp_path, capsys):
 
 def test_cli_eval_bad_start_files_exit_2(trained_run, trained_grid, tmp_path, capsys):
     """A malformed --scenario or --grid file exits 2 with an error, not a
-    traceback: a scenario that already completes the task and a grid with a
-    second agent glyph and goal count as malformed."""
+    traceback: a scenario that already completes the task or names too few
+    blocks to complete it, and a grid with a second agent glyph and goal,
+    count as malformed."""
     block_model = trained_run[1] / "qtable.txt"
     cases = [("scenario", block_model, "cell 9 9: 0\ngripper: empty\n"),
              ("scenario", block_model, "cell -1 0: 0\ngripper: empty\n"),
              ("scenario", block_model, "cell 0 0: 0\ngripper: 0\n"),
              ("scenario", block_model, "cell 0 0: 7\ngripper: empty\n"),
              ("scenario", block_model, "cell 0 0: 0 1 2 3\ngripper: empty\n"),
+             ("scenario", block_model, "gripper: empty\n"),
              ("grid", trained_grid / "qtable.txt", ">.G\n"),
              ("grid", trained_grid / "qtable.txt", "#####\n#>>G#\n#G..#\n#####\n")]
     for flag, model, text in cases:

@@ -13,9 +13,10 @@ from spotrl.qfunction import (
     dump_qfunction,
     parse_qdump,
 )
+from spotrl.spotq import masked_argmax
 from spotrl.trainer import run_training
 
-from oracles import KeyFeatures, PlainLinearQ, block_feature_key
+from oracles import ForbiddenRandom, KeyFeatures, PlainLinearQ, block_feature_key
 
 
 def joint_keys(state):
@@ -170,8 +171,9 @@ def test_linear_records_use_feature_keys():
 
 def test_linear_featurizes_each_state_once():
     """feature_ids runs once per distinct state for the life of the
-    Q-function, across more states than any short cycle and with revisits;
-    the weights are never cached: reads after an update are fresh."""
+    Q-function, across more states than any short cycle and with revisits,
+    and the distinct ids best_value and greedy read add no call; the
+    weights are never cached: reads after an update are fresh."""
     seen = []
 
     def keys(state):
@@ -191,6 +193,7 @@ def test_linear_featurizes_each_state_once():
     for state in ("u", "v", "w", "x", "y", "s", "u", "t", "y", "s"):
         q.row(state)
         q.best_value(state)
+        q.greedy(state, random.Random(0))
     assert seen == ["s", "t", "u", "v", "w", "x", "y"]
     q.update("s", 1, 1.0, 0.5)
     assert q.row("s") == [0.0, 0.75] and q.best_value("s") == 0.75
@@ -221,7 +224,7 @@ def test_block_run_featurizes_each_state_once():
         return read
 
     q.features.feature_ids = counting_feature_ids
-    for name in ("row", "value", "best_value", "update"):
+    for name in ("row", "value", "best_value", "greedy", "update"):
         setattr(q, name, reading(getattr(q, name)))
     run_training(rc.make_env, rc.agent_config(), q=q)
     assert len(featurized) == len(set(reads)) > 4
@@ -283,8 +286,9 @@ UNBUILT = st.tuples(st.integers(0, 1), st.sampled_from([
 def test_block_linear_q_matches_the_plain_reference(task, seed, data):
     """On a random walk over allowed block-world actions, LinearQ over one
     env's feature ids and PlainLinearQ over block_feature_key agree at every
-    step: value, row, best_value and update returns, and records, with -0.0
-    weights loaded for visited keys and for keys no signature table holds yet."""
+    step: value, row, best_value and update returns, records, and greedy
+    against a scan of the plain row, with -0.0 weights loaded for visited
+    keys and for keys no signature table holds yet."""
     walker, owner = BlockWorld(task=task), BlockWorld(task=task)
     q = LinearQ(owner)
     features = {}
@@ -316,11 +320,79 @@ def test_block_linear_q_matches_the_plain_reference(task, seed, data):
             ref.load_records(rows)
         assert [(k, a, repr(w)) for k, a, w in q.records()] == \
             sorted((repr(f), -1, repr(w)) for f, w in ref.weights.items())
+        assert_greedy_matches_the_scan(q, state, seed, scanned=ref)
         if walker.terminal:
             state = walker.reset(rng.randrange(1 << 30))
         else:
             state, _, _ = walker.step(
                 rng.choice([a for a, ok in enumerate(walker.mask_for(state)) if ok]))
+
+
+# -- greedy -----------------------------------------------------------------
+
+
+def assert_greedy_matches_the_scan(q, state, seed, scanned=None):
+    """q.greedy and masked_argmax with no mask pick the action an all-true
+    mask's scan over ``scanned``'s row (q's own by default) picks, and leave
+    the tie stream in the same state; a unique maximizer draws nothing."""
+    scanned = q if scanned is None else scanned
+    rng = random.Random(seed)
+    expected = (masked_argmax(scanned, state, [True] * q.n_actions, rng), rng.getstate())
+    for pick in (q.greedy, lambda s, r: masked_argmax(q, s, None, r)):
+        rng = random.Random(seed)
+        assert (pick(state, rng), rng.getstate()) == expected
+    values = scanned.row(state)
+    if values.count(max(values)) == 1:
+        assert q.greedy(state, ForbiddenRandom()) == expected[0]
+
+
+@given(ops=TABLE_OPS, initial=st.sampled_from((0.0, -0.0)), seed=st.integers(0, 2**16))
+def test_tabular_greedy_matches_the_scan(ops, initial, seed):
+    """TabularQ.greedy reads the stored row in place and picks and draws as
+    the all-true scan does, at written and unseen states, -0.0 included."""
+    q = TabularQ(4, initial=initial)
+    for state, action, x, lr in ops:
+        if lr is None:
+            q.load_records([(repr(state), action, x)])
+        else:
+            q.update(state, action, x, lr)
+        assert_greedy_matches_the_scan(q, state, seed)
+    for state in TABLE_STATES + ("unseen",):
+        assert_greedy_matches_the_scan(q, state, seed)
+
+
+GREEDY_CASES = {
+    # Four of six actions share one id, not side by side.
+    "shared": (6, lambda s: [("x", s % 2), ("own", s), ("x", s % 2), ("x", s % 2),
+                             ("y",), ("x", s % 2)]),
+    # Ids shared across states, so several often tie at the best weight.
+    "tied": (5, lambda s: [("a",), ("b", s % 2), ("a",), ("c", s % 3), ("d",)]),
+    # One distinct id for every action.
+    "single": (4, lambda s: [("only", s % 3)] * 4),
+}
+WEIGHTS = st.sampled_from((0.0, -0.0, 0.5, -1.0))
+GREEDY_OPS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), WEIGHTS,
+                                st.sampled_from((1.0, 0.5, None))), max_size=30)
+
+
+@pytest.mark.parametrize("case", sorted(GREEDY_CASES))
+@given(ops=GREEDY_OPS, seed=st.integers(0, 2**16))
+def test_linear_greedy_matches_the_scan(case, ops, seed):
+    """LinearQ.greedy over distinct ids picks and draws as the all-true scan
+    of the row does: with many actions on one id, with several ids tied at
+    the best weight, and with a single id, as weights change under it."""
+    n_actions, keys = GREEDY_CASES[case]
+    q = LinearQ(KeyFeatures(n_actions, keys))
+    for state, action, x, lr in ops:
+        action %= n_actions
+        if lr is None:
+            q.load_records([(repr(keys(state)[action]), -1, x)])
+        else:
+            q.update(state, action, x, lr)
+        assert_greedy_matches_the_scan(q, state, seed)
+    for state in range(6):
+        assert_greedy_matches_the_scan(q, state, seed)
+        assert repr(q.best_value(state)) == repr(max(q.row(state)))
 
 
 # -- rows -------------------------------------------------------------------

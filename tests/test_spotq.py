@@ -57,6 +57,7 @@ def test_huber_piecewise(a, b):
 def test_masked_argmax_unique_max_consumes_no_randomness():
     q = table(3, {("s", 0): 0.1, ("s", 1): 0.7, ("s", 2): 0.3})
     assert masked_argmax(q, "s", [True, True, True], ForbiddenRandom()) == 1
+    assert masked_argmax(q, "s", None, ForbiddenRandom()) == 1  # None: unrestricted
 
 
 def test_masked_argmax_skips_disallowed():

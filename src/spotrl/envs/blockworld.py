@@ -21,8 +21,24 @@ GRASP, PLACE, PUSH = "grasp", "place", "push"
 DIRECTIONS = ((0, -1), (1, 0), (0, 1), (-1, 0))  # N, E, S, W
 
 TASKS = ("stack", "row", "clear")
+BOARD_SIDE = 4
 
 BlockState = tuple  # (held flag, per-cell heights)
+
+
+def check_settings(task: str, goal_size: int, num_blocks: int,
+                   width: int = BOARD_SIDE, height: int = BOARD_SIDE) -> None:
+    """Raise ValueError for settings no world can run: an unknown task, no
+    blocks, more blocks than board cells, or a stack or row goal outside
+    2..num_blocks (a goal of 1 holds at every start, so reset never ends)."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r} (expected one of {TASKS})")
+    if not 1 <= num_blocks <= width * height:
+        raise ValueError(f"num_blocks must be from 1 to the {width}x{height} board's "
+                         f"{width * height} cells, not {num_blocks}")
+    if task != "clear" and not 2 <= goal_size <= num_blocks:
+        raise ValueError(f"the {task} task needs a goal_size from 2 to {num_blocks}, "
+                         f"not {goal_size}")
 
 
 class BlockWorld:
@@ -33,13 +49,12 @@ class BlockWorld:
         task: str = "stack",
         goal_size: int = 4,
         num_blocks: int = 4,
-        width: int = 4,
-        height: int = 4,
+        width: int = BOARD_SIDE,
+        height: int = BOARD_SIDE,
         topple_base: float = 0.1,
         action_limit: Optional[int] = None,
     ):
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}")
+        check_settings(task, goal_size, num_blocks, width, height)
         self.task = task
         self.goal_size = goal_size
         self.num_blocks = num_blocks

@@ -13,7 +13,8 @@ artifacts to its own directory:
 - ``config.txt``     resolved flat config (re-parseable; reruns reproduce)
 - ``steps.csv``      per-step log: run_id, trial_id, step, action_type,
                      action_id, masked_policy_flag, success, instant_reward,
-                     trial_reward, progress, epsilon
+                     trial_reward, progress, epsilon; written as each trial
+                     ends, so a failed run keeps its finished trials' rows
 - ``trials.csv``     per-training-trial log: trial_id, completed, actions,
                      ideal, efficiency, termination
 - ``validation.csv`` greedy-probe results: round, actions, completed, trials
@@ -37,14 +38,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 from .envs import BlockWorld, Env, GridWorld
-from .envs.blockworld import TASKS
+from .envs.blockworld import check_settings as check_block_settings
 from .qfunction import LinearQ, QFunction, TabularQ, dump_qfunction, parse_qdump
 from .rewards import REWARD_KINDS, ConfigError, RewardConfig
 from .trainer import AgentConfig, StepTrace, TrialRecord, evaluate, run_training
@@ -224,6 +227,26 @@ class RunConfig:
     action_limit: Optional[int] = None
     log_steps: bool = True
 
+    def __post_init__(self):
+        """Reject what no run can use: a non-finite number, or a setting the
+        trainer, its reward config or the block world rejects."""
+        numbers = [(f.name, getattr(self, f.name)) for f in dataclass_fields(self)
+                   if f.type == "float"]
+        numbers += [(f"weight.{atype}", w) for atype, w in self.weights.items()]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, not {value!r}")
+        if self.eval_trials < 1:
+            raise ConfigError("eval_trials must be at least 1")
+        if self.action_limit is not None and self.action_limit < 1:
+            raise ConfigError("action_limit must be at least 1")
+        self.agent_config()  # raises ConfigError on settings the trainer rejects
+        if self.environment == "blockworld":
+            try:
+                check_block_settings(self.task, self.goal_size, self.num_blocks)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+
     @property
     def cell(self) -> str:
         return cell_label(self.use_mask, self.use_spotq, self.reward_kind)
@@ -296,9 +319,9 @@ def resolve_run_config(values: dict[str, str], base_out: Optional[str] = None) -
 
     ``values`` maps config keys to unparsed strings (from a config file
     and/or command-line overrides, already merged with flags winning).
-    Unknown keys, unknown environments/cells/tasks, and unparseable values
-    raise ConfigError. Without ``out`` (or ``base_out``) the run goes to
-    ``output_root() / run_id``.
+    Unknown keys, unknown environments/cells/tasks, unparseable values and
+    values out of range (see RunConfig.__post_init__) raise ConfigError.
+    Without ``out`` (or ``base_out``) the run goes to ``output_root() / run_id``.
     """
     values = dict(values)
     env_name = values.pop("env", "gridworld")
@@ -340,8 +363,6 @@ def resolve_run_config(values: dict[str, str], base_out: Optional[str] = None) -
         weights=weights,
         **resolved,
     )
-    if env_name == "blockworld" and rc.task not in TASKS:
-        raise ConfigError(f"unknown task {rc.task!r} (expected one of {TASKS})")
     return rc if out else replace(rc, out=str(output_root() / rc.run_id))
 
 
@@ -358,40 +379,36 @@ def header_run_config(fields: dict[str, str]) -> RunConfig:
 # -- run artifacts --------------------------------------------------------
 
 class RunLogger:
-    """Observer for run_training that accumulates the CSV rows."""
+    """Observer for run_training: writes each finished or budget-cut trial's
+    steps.csv rows to ``steps`` as soon as the trial ends (no step log when
+    ``steps`` is None), and keeps the validation rows."""
 
-    def __init__(self, run_id: str, log_steps: bool = True):
+    def __init__(self, run_id: str, steps: Optional[TextIO] = None):
         self.run_id = run_id
-        self.log_steps = log_steps
-        self.step_rows: list[tuple] = []
+        self._steps = None
+        if steps is not None:
+            self._steps = csv.writer(steps, lineterminator="\n")
+            self._steps.writerow(STEP_COLUMNS)
         self.validation_rows: list[tuple] = []
 
-    def _format_steps(self, traces: list[StepTrace]) -> None:
-        if not self.log_steps:
+    def _write_steps(self, traces: list[StepTrace]) -> None:
+        if self._steps is None:
             return
-        for t in traces:
-            e = t.experience
-            self.step_rows.append((
-                self.run_id,
-                e.trial_id,
-                e.step_index,
-                e.action_type,
-                e.action_id,
-                int(t.masked_policy),
-                int(e.success),
-                repr(e.instant_reward),
-                "" if e.trial_reward is None else repr(e.trial_reward),
-                repr(t.progress),
-                repr(t.epsilon),
-            ))
+        run_id = self.run_id
+        self._steps.writerows(
+            (run_id, e.trial_id, e.step_index, e.action_type, e.action_id,
+             int(t.masked_policy), int(e.success), repr(e.instant_reward),
+             "" if e.trial_reward is None else repr(e.trial_reward),
+             repr(t.progress), repr(t.epsilon))
+            for t in traces for e in (t.experience,))
 
     def on_trial(self, record: TrialRecord, traces: list[StepTrace]) -> None:
-        self._format_steps(traces)
+        self._write_steps(traces)
 
     def on_partial_trial(self, traces: list[StepTrace]) -> None:
         # Budget-cut trial: steps are logged, the trial reward stays blank
         # and no trial row is recorded (the trial never finished).
-        self._format_steps(traces)
+        self._write_steps(traces)
 
     def on_validation(self, round_index: int, action_count: int, completed: int) -> None:
         self.validation_rows.append((round_index, action_count, completed))
@@ -425,10 +442,12 @@ def run_single(rc: RunConfig) -> dict:
     """
     run_dir = Path(rc.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    logger = RunLogger(rc.run_id, log_steps=rc.log_steps)
     cfg = rc.agent_config()
-    q, records, convergence = run_training(rc.make_env, cfg, q=rc.make_q(),
-                                           observer=logger)
+    steps_file = open(run_dir / "steps.csv", "w", newline="") if rc.log_steps else nullcontext()
+    with steps_file as steps:
+        logger = RunLogger(rc.run_id, steps)
+        q, records, convergence = run_training(rc.make_env, cfg, q=rc.make_q(),
+                                               observer=logger)
     summary, eval_records = evaluate(
         q, rc.make_env, rc.eval_trials,
         seed=rc.eval_seed_offset + rc.seed, use_mask=rc.use_mask,
@@ -437,8 +456,6 @@ def run_single(rc: RunConfig) -> dict:
     with open(run_dir / "config.txt", "w") as f:
         for key, value in rc.flat_items():
             f.write(f"{key} = {value}\n")
-    if rc.log_steps:
-        write_csv(run_dir / "steps.csv", STEP_COLUMNS, logger.step_rows)
     write_csv(run_dir / "trials.csv", TRIAL_COLUMNS, trial_csv_rows(records))
     write_csv(run_dir / "validation.csv", VALIDATION_COLUMNS,
                [(*row, cfg.validation_trials) for row in logger.validation_rows])

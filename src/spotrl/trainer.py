@@ -66,6 +66,14 @@ class AgentConfig:
         for eps in (self.epsilon_start, self.epsilon_end):
             if not 0.0 <= eps <= 1.0:
                 raise ConfigError("epsilon must be in [0, 1]")
+        if not 0.0 < self.learning_rate <= 1.0:
+            raise ConfigError("learning_rate must be in (0, 1]")
+        if self.epsilon_decay_steps is not None and self.epsilon_decay_steps < 1:
+            raise ConfigError("epsilon_decay_steps must be at least 1")
+        if self.replay_capacity < 1:
+            raise ConfigError("replay_capacity must be at least 1")
+        if self.validation_trials < 1:
+            raise ConfigError("validation_trials must be at least 1")
 
     @property
     def reward_kind(self) -> str:
@@ -171,8 +179,10 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random) -> TrialRe
     event = None
     while not env.terminal:
         mask = env.mask_for(state) if use_mask else None
+        if mask is not None and all(mask):
+            mask = None  # the same pick and tie draw as the all-true mask
         action = masked_argmax(q, state, mask, rng)
-        if use_mask:
+        if mask is not None:
             check_allowed(mask, action)
         state, outcome, event = env.step(action)
         steps += 1
@@ -240,6 +250,10 @@ def run_training(
         while True:
             epsilon = cfg.epsilon_at(actions_done)
             mask = env.mask_for(state) if cfg.use_mask else None
+            if mask is not None and all(mask):
+                # Same draws and pick without it; the flag is False and SPOT-Q
+                # adds no masked target.
+                mask = None
             action = select_action(q, state, mask, epsilon, action_rng, tie_rng, env.n_actions)
             if mask is not None:
                 check_allowed(mask, action)
@@ -285,8 +299,8 @@ def run_training(
             if terminal:
                 buf.finalize_trial(trial_id, outcome.task_complete)
 
-            replay.apply_update(e, q, target_mask_fn, rcfg, cfg.learning_rate, tie_rng,
-                                reward=e.instant_reward)
+            replay.apply_update(e, q, target_mask_fn if mask is not None else None, rcfg,
+                                cfg.learning_rate, tie_rng, reward=e.instant_reward)
             traces.append(StepTrace(e, epsilon, masked_flag, outcome.progress_after))
 
             if cfg.validation_every and actions_done % cfg.validation_every == 0:

@@ -2,6 +2,8 @@
 sweeps, and the command-line front-end."""
 
 import csv
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,7 +18,8 @@ from spotrl.envs.blockworld import BlockWorld
 from spotrl.envs.gridworld import GridWorld
 from spotrl.qfunction import LinearQ, TabularQ
 from spotrl.rewards import REWARD_KINDS, ConfigError, RewardConfig
-from spotrl.trainer import TERMINATION_COMPLETE, TERMINATION_LIMIT, AgentConfig, evaluate
+from spotrl.trainer import (TERMINATION_COMPLETE, TERMINATION_LIMIT, AgentConfig, evaluate,
+                            run_training)
 
 
 def read_csv(path):
@@ -502,6 +505,92 @@ def test_log_steps_off_skips_the_file(tmp_path):
     assert (Path(rc.out) / "trials.csv").exists()
 
 
+class Appended:
+    """Observer that forwards each call to a RunLogger and records the rows
+    the call appended to the logger's stream, beside the steps it was given."""
+
+    def __init__(self, logger, stream):
+        self.logger = logger
+        self.stream = stream
+        self.calls = []
+
+    def _forward(self, method, *args, traces=()):
+        start = len(self.stream.getvalue())
+        method(*args)
+        rows = list(csv.reader(io.StringIO(self.stream.getvalue()[start:])))
+        steps = [(t.experience.trial_id, t.experience.step_index) for t in traces]
+        self.calls.append((method.__name__, steps, rows))
+
+    def on_trial(self, record, traces):
+        self._forward(self.logger.on_trial, record, traces, traces=traces)
+
+    def on_partial_trial(self, traces):
+        self._forward(self.logger.on_partial_trial, traces, traces=traces)
+
+    def on_validation(self, *args):
+        self._forward(self.logger.on_validation, *args)
+
+
+def test_step_log_streams_each_trial_as_it_ends():
+    """The header goes out first; each finished or budget-cut trial's rows
+    are appended when its observer call comes, and nothing else appends.
+    The logger keeps no step rows of its own."""
+    rc = harness.resolve_run_config({
+        "env": "blockworld", "cell": "spotq+trial_progress", "seed": "2",
+        "budget": "300", "validation_every": "100", "validation_trials": "2",
+        "out": "unused",
+    })
+    stream = io.StringIO()
+    logger = harness.RunLogger(rc.run_id, stream)
+    assert stream.getvalue() == ",".join(harness.STEP_COLUMNS) + "\n"
+    observer = Appended(logger, stream)
+    run_training(rc.make_env, rc.agent_config(), q=rc.make_q(), observer=observer)
+
+    names = [name for name, _, _ in observer.calls]
+    assert names.count("on_validation") == 3 and names[-1] == "on_partial_trial"
+    assert names.count("on_trial") >= 2
+    for name, steps, rows in observer.calls:
+        assert [(int(r[1]), int(r[2])) for r in rows] == steps
+        assert all(r[0] == rc.run_id for r in rows)
+        # A finished trial's rows carry its propagated reward; a cut one's stay blank.
+        assert all((r[8] == "") == (name == "on_partial_trial") for r in rows)
+    assert sum(len(rows) for _, _, rows in observer.calls) == 300
+    assert set(vars(logger)) == {"run_id", "_steps", "validation_rows"}
+    assert len(logger.validation_rows) == 3
+
+
+def test_a_failed_run_keeps_its_finished_trials_rows(tmp_path, monkeypatch):
+    """Training that raises mid-trial leaves steps.csv holding the header and
+    the rows of every trial that finished before the fault, byte for byte
+    as the unbroken run wrote them."""
+    values = {"cell": "mask+progress", "seed": "0", "budget": "300",
+              "validation_every": "0", "eval_trials": "1"}
+    full = harness.resolve_run_config({**values, "out": str(tmp_path / "full")})
+    harness.run_single(full)
+    full_text = (tmp_path / "full" / "steps.csv").read_text()
+    _, trial_rows = read_csv(tmp_path / "full" / "trials.csv")
+
+    fault_at = 150
+    step = GridWorld.step
+    calls = itertools.count(1)
+
+    def failing_step(self, action):
+        if next(calls) == fault_at:
+            raise RuntimeError("env fault")
+        return step(self, action)
+
+    monkeypatch.setattr(GridWorld, "step", failing_step)
+    cut = harness.resolve_run_config({**values, "out": str(tmp_path / "cut")})
+    with pytest.raises(RuntimeError, match="env fault"):
+        harness.run_single(cut)
+    ends = list(itertools.accumulate(int(r[2]) for r in trial_rows))
+    finished_actions = max(end for end in ends if end < fault_at)
+    assert finished_actions > 0
+    lines = full_text.splitlines(keepends=True)
+    assert (tmp_path / "cut" / "steps.csv").read_text() == "".join(lines[:1 + finished_actions])
+    assert not (tmp_path / "cut" / "trials.csv").exists()
+
+
 # -- command-line interface -------------------------------------------------
 
 
@@ -542,6 +631,37 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["sweep", "--cells", "none+base,none+base", "--seeds", "0,1",
                  "--set", "seed=3", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("settings", [
+    ("epsilon_end=2",),
+    ("replay_capacity=0",),
+    ("learning_rate=0",),
+    ("learning_rate=1.5",),
+    ("learning_rate=nan",),
+    ("learning_rate=inf",),
+    ("weight.place=nan",),
+    ("weight.place=inf",),
+    ("per_exponent=inf",),
+    ("validation_trials=0",),
+    ("eval_trials=0",),
+    ("epsilon_decay_steps=0",),
+    ("num_blocks=20",),
+    ("goal_size=9",),
+    ("goal_size=1",),
+    ("task=row", "num_blocks=3"),
+    ("task=clear", "num_blocks=0"),
+    ("action_limit=0",),
+])
+def test_cli_rejects_settings_no_run_can_use(settings, tmp_path, capsys):
+    """A setting that would crash training, or run it to a meaningless
+    result, exits 2 with an error line before any artifact is written."""
+    argv = ["train", "--env", "blockworld", "--out", str(tmp_path / "run")]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_io_errors_exit_3(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spotrl import seeding, trainer
 from spotrl.envs import Env
@@ -123,6 +124,23 @@ def test_select_action_exploration_draws():
     picks = {select_action(q, "s", None, 1.0, random.Random(i), CountingRandom(1), 3)
              for i in range(30)}
     assert picks == {0, 1, 2}
+
+
+@given(values=st.lists(st.integers(-2, 2), min_size=1, max_size=6),
+       epsilon=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**16))
+def test_select_action_all_true_mask_equals_no_mask(values, epsilon, seed):
+    """An all-allowed mask picks the action no mask picks and leaves both
+    rngs in the same state, ties included, so the trainer may drop it."""
+    n = len(values)
+    q = TabularQ(n)
+    for a, v in enumerate(values):
+        q.update("s", a, v / 2, 1.0)
+    outcomes = []
+    for mask in ([True] * n, None):
+        rng, tie_rng = random.Random(seed), random.Random(seed + 1)
+        action = select_action(q, "s", mask, epsilon, rng, tie_rng, n)
+        outcomes.append((action, rng.getstate(), tie_rng.getstate()))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_every_env_satisfies_the_env_protocol():

@@ -28,17 +28,39 @@ BlockState = tuple  # (held flag, per-cell heights)
 
 def check_settings(task: str, goal_size: int, num_blocks: int,
                    width: int = BOARD_SIDE, height: int = BOARD_SIDE) -> None:
-    """Raise ValueError for settings no world can run: an unknown task, no
-    blocks, more blocks than board cells, or a stack or row goal outside
-    2..num_blocks (a goal of 1 holds at every start, so reset never ends)."""
+    """Raise ValueError for settings whose every trial is unrunnable or
+    unwinnable: an unknown task, no blocks, more blocks than board cells,
+    a stack or row goal outside 2..num_blocks (a goal of 1 holds at every
+    start, so reset never ends), a row longer than the board's longest line,
+    or more row-task blocks than ``max_row_free_singletons`` (every scatter
+    would already hold the row, so reset never ends)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r} (expected one of {TASKS})")
     if not 1 <= num_blocks <= width * height:
         raise ValueError(f"num_blocks must be from 1 to the {width}x{height} board's "
                          f"{width * height} cells, not {num_blocks}")
-    if task != "clear" and not 2 <= goal_size <= num_blocks:
+    if task == "clear":
+        return
+    if not 2 <= goal_size <= num_blocks:
         raise ValueError(f"the {task} task needs a goal_size from 2 to {num_blocks}, "
                          f"not {goal_size}")
+    if task == "row":
+        if goal_size > max(width, height):
+            raise ValueError(f"a row of {goal_size} does not fit on the {width}x{height} board")
+        most = max_row_free_singletons(goal_size, width, height)
+        if num_blocks > most:
+            raise ValueError(f"the row task with goal_size {goal_size} can scatter at most "
+                             f"{most} blocks without a finished row, not {num_blocks}")
+
+
+def max_row_free_singletons(goal_size: int, width: int = BOARD_SIDE,
+                            height: int = BOARD_SIDE) -> int:
+    """How many singletons fit with no run of ``goal_size`` along a row or
+    column: every cell but those with ``(x + y) % goal_size == goal_size - 1``
+    (each window of ``goal_size`` consecutive cells meets one of those). That
+    is the most for goal sizes 2-4 on the 4x4 board (8, 11 and 12)."""
+    return sum((x + y) % goal_size != goal_size - 1
+               for x in range(width) for y in range(height))
 
 
 class BlockWorld:

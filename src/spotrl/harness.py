@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import traceback
 from contextlib import nullcontext
@@ -228,14 +227,9 @@ class RunConfig:
     log_steps: bool = True
 
     def __post_init__(self):
-        """Reject what no run can use: a non-finite number, or a setting the
-        trainer, its reward config or the block world rejects."""
-        numbers = [(f.name, getattr(self, f.name)) for f in dataclass_fields(self)
-                   if f.type == "float"]
-        numbers += [(f"weight.{atype}", w) for atype, w in self.weights.items()]
-        for name, value in numbers:
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, not {value!r}")
+        """Reject what no run can use: no evaluation trial, an action limit
+        below 1, or a setting the trainer, its reward config or the block
+        world rejects."""
         if self.eval_trials < 1:
             raise ConfigError("eval_trials must be at least 1")
         if self.action_limit is not None and self.action_limit < 1:

@@ -22,6 +22,7 @@ The reward family, from weakest to strongest shaping:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -47,7 +48,7 @@ class RewardConfig:
     """Which reward is computed and with what constants.
 
     Attributes:
-        weights: sub-task weighting, one non-negative weight per action type.
+        weights: sub-task weighting, one finite non-negative weight per action type.
         trial_discount: discount used by the trial-level backfills.
         learn_discount: discount used inside Q-learning targets.
         reward_kind: one of REWARD_KINDS.
@@ -66,8 +67,9 @@ class RewardConfig:
         if not (0.0 < self.learn_discount < 1.0):
             raise ConfigError("learn_discount must lie strictly in (0, 1)")
         for atype, w in self.weights.items():
-            if w < 0:
-                raise ConfigError(f"negative weight for action type {atype!r}")
+            if not 0.0 <= w < math.inf:
+                raise ConfigError(f"the weight for action type {atype!r} must be finite "
+                                  f"and non-negative, not {w!r}")
 
     @property
     def uses_trial_reward(self) -> bool:

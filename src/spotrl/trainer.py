@@ -17,6 +17,7 @@ ends without the completion bonus.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -74,6 +75,14 @@ class AgentConfig:
             raise ConfigError("replay_capacity must be at least 1")
         if self.validation_trials < 1:
             raise ConfigError("validation_trials must be at least 1")
+        if self.validation_every < 0:
+            raise ConfigError("validation_every must be 0 (off) or more")
+        if self.train_steps_per_action < 0:
+            raise ConfigError("train_steps_per_action must be 0 or more")
+        if not 0.0 <= self.per_exponent < math.inf:
+            raise ConfigError("per_exponent must be finite and non-negative")
+        if not 0.0 <= self.type_filter_prob <= 1.0:
+            raise ConfigError("type_filter_prob must be in [0, 1]")
 
     @property
     def reward_kind(self) -> str:
@@ -179,10 +188,8 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random) -> TrialRe
     event = None
     while not env.terminal:
         mask = env.mask_for(state) if use_mask else None
-        if mask is not None and all(mask):
-            mask = None  # the same pick and tie draw as the all-true mask
         action = masked_argmax(q, state, mask, rng)
-        if mask is not None:
+        if use_mask:
             check_allowed(mask, action)
         state, outcome, event = env.step(action)
         steps += 1
@@ -250,10 +257,6 @@ def run_training(
         while True:
             epsilon = cfg.epsilon_at(actions_done)
             mask = env.mask_for(state) if cfg.use_mask else None
-            if mask is not None and all(mask):
-                # Same draws and pick without it; the flag is False and SPOT-Q
-                # adds no masked target.
-                mask = None
             action = select_action(q, state, mask, epsilon, action_rng, tie_rng, env.n_actions)
             if mask is not None:
                 check_allowed(mask, action)
@@ -299,8 +302,8 @@ def run_training(
             if terminal:
                 buf.finalize_trial(trial_id, outcome.task_complete)
 
-            replay.apply_update(e, q, target_mask_fn if mask is not None else None, rcfg,
-                                cfg.learning_rate, tie_rng, reward=e.instant_reward)
+            replay.apply_update(e, q, target_mask_fn, rcfg, cfg.learning_rate, tie_rng,
+                                reward=e.instant_reward)
             traces.append(StepTrace(e, epsilon, masked_flag, outcome.progress_after))
 
             if cfg.validation_every and actions_done % cfg.validation_every == 0:

@@ -1,11 +1,12 @@
 """Block manipulation world: stacks, toppling, masking, three tasks."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spotrl.envs.blockworld import TASKS, BlockWorld
+from spotrl.envs.blockworld import TASKS, BlockWorld, max_row_free_singletons
 from spotrl.qfunction import LinearQ
 
 from oracles import (
@@ -90,6 +91,26 @@ def test_decode_covers_all_actions():
         env.decode(96)
     with pytest.raises(ValueError):
         env.decode(-1)
+
+
+@pytest.mark.parametrize("goal_size", [2, 3, 4])
+def test_row_block_count_is_bounded_by_the_most_run_free_singletons(goal_size):
+    """With the most singletons that avoid a finished row, reset still finds
+    a start; one more block holds a row in every scatter (checked over all of
+    them), so the world refuses it instead of rescattering forever."""
+    most = max_row_free_singletons(goal_size)
+    for seed in range(3):
+        env = BlockWorld(task="row", goal_size=goal_size, num_blocks=most)
+        env.reset(seed)
+        assert env.progress() < 1.0
+    lines = [[y * 4 + x for x in range(4)] for y in range(4)]
+    lines += [[y * 4 + x for y in range(4)] for x in range(4)]
+    windows = [set(line[i:i + goal_size]) for line in lines
+               for i in range(4 - goal_size + 1)]
+    assert all(any(w <= set(cells) for w in windows)
+               for cells in itertools.combinations(range(16), most + 1))
+    with pytest.raises(ValueError, match="at most"):
+        BlockWorld(task="row", goal_size=goal_size, num_blocks=most + 1)
 
 
 # -- progress metrics -------------------------------------------------------

@@ -130,7 +130,7 @@ def test_select_action_exploration_draws():
        epsilon=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**16))
 def test_select_action_all_true_mask_equals_no_mask(values, epsilon, seed):
     """An all-allowed mask picks the action no mask picks and leaves both
-    rngs in the same state, ties included, so the trainer may drop it."""
+    rngs in the same state, ties included."""
     n = len(values)
     q = TabularQ(n)
     for a, v in enumerate(values):

@@ -18,7 +18,8 @@ class Env(Protocol):
     ``seed``, while one built by ``from_text`` restores its parsed start and
     only reseeds its own dynamics. ``step`` returns (next state, outcome,
     event), where the event names an early end such as ``"lava"`` or is None.
-    ``mask_for`` is False for each action that would certainly fail.
+    ``mask_for`` is False for each action that would certainly fail, and
+    depends on the state alone (greedy probes keep one pick per state).
     """
 
     n_actions: int

@@ -520,6 +520,8 @@ class ExperimentSpec:
             raise ConfigError("a sweep needs at least two seeds (min/max reporting)")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds in sweep")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError("workers must be at least 1 (or none: one per CPU)")
 
     def run_configs(self) -> list[RunConfig]:
         out_root = Path(self.out)
@@ -687,7 +689,7 @@ def run_sweep(spec: ExperimentSpec) -> tuple[int, list[dict]]:
     out_root = Path(spec.out)
     out_root.mkdir(parents=True, exist_ok=True)
     rcs = spec.run_configs()
-    workers = spec.workers or min(len(rcs), os.cpu_count() or 1)
+    workers = min(len(rcs), spec.workers or os.cpu_count() or 1)
     if workers > 1 and len(rcs) > 1:
         # Imported here: multiprocessing adds ~15 ms to importing this module.
         from multiprocessing import get_context

@@ -24,7 +24,10 @@ ids of every state it has read, so a state is featurized once per
 Q-function, and a row is one gather from the flat weights; ``best_value``
 and ``greedy`` read only the state's distinct ids (12-18 of the block
 world's 96), because actions sharing an id share its weight. That memo
-grows with the distinct states visited.
+grows with the distinct states visited. ``ties(state)`` lists the actions
+holding the state's best value when the Q can name them without reading
+the row (``LinearQ``: one id holds the best weight), so a masked pick that
+allows one of them skips the row; otherwise it is None.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
 and return the value they blended from, the same float ``value()`` read
@@ -36,7 +39,13 @@ from __future__ import annotations
 import ast
 import random
 from operator import itemgetter
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Optional
+
+
+def draw_tie(tied: tuple[int, ...], tie_rng: random.Random) -> int:
+    """One of ``tied``, by one ``tie_rng.randrange(len(tied))`` draw made
+    only when there is more than one."""
+    return tied[0] if len(tied) == 1 else tied[tie_rng.randrange(len(tied))]
 
 
 def _drawn_position(seq, x, tie_rng: random.Random) -> int:
@@ -52,7 +61,7 @@ def _drawn_position(seq, x, tie_rng: random.Random) -> int:
 
 
 class QFunction:
-    """Interface: value / row / greedy / update plus text serialization."""
+    """Interface: value / row / greedy / ties / update plus text serialization."""
 
     n_actions: int
 
@@ -79,6 +88,11 @@ class QFunction:
         action ties: ``spotq.masked_argmax``'s rule under an all-true mask."""
         values = self.row(state)
         return _drawn_position(values, max(values), tie_rng)
+
+    def ties(self, state: Hashable) -> Optional[tuple[int, ...]]:
+        """Every action holding the state's best value, ascending, when the
+        Q can name them without reading the row; otherwise None."""
+        return None
 
     def records(self) -> list[tuple[str, int, float]]:
         """Sorted (key, action, value) text records for diff-able dumps."""
@@ -164,9 +178,9 @@ class LinearQ(QFunction):
     one tuple from its first read on, so ``feature_ids`` must be pure and
     runs once per distinct state; the memo grows by about 0.8 KB per
     distinct state over the block world's 96 actions. A state read by
-    ``best_value`` or ``greedy`` also keeps its distinct ids, in order of
-    first occurrence, and a getter over them: about 0.3 KB more. Weights
-    are never cached. A row is one gather from the flat list; ``best_value``
+    ``best_value``, ``greedy`` or ``ties`` also keeps its distinct ids, in
+    order of first occurrence, and a getter over them: about 0.3 KB more.
+    Weights are never cached. A row is one gather from the flat list; ``best_value``
     is the maximum of the distinct weights, the same float as the row's.
     """
 
@@ -182,7 +196,7 @@ class LinearQ(QFunction):
         # state -> its feature ids, by action id, for every state read.
         self._ids: dict[Hashable, tuple[int, ...]] = {}
         # state -> (ids, distinct ids, getter of their weights), for every
-        # state best_value or greedy read.
+        # state best_value, greedy or ties read.
         self._distinct: dict[Hashable, tuple] = {}
 
     def _featurized(self, state: Hashable) -> tuple[int, ...]:
@@ -227,6 +241,23 @@ class LinearQ(QFunction):
             return QFunction.greedy(self, state, tie_rng)
         # One id holds it; the tied actions are that id's positions.
         return _drawn_position(ids, distinct[weights.index(best)], tie_rng)
+
+    def ties(self, state: Hashable) -> Optional[tuple[int, ...]]:
+        """The positions of the one id holding the best weight, since
+        actions sharing an id share its weight; None when several ids
+        hold it."""
+        ids, distinct, get = self._distinct_ids(state)
+        weights = get(self._flat)
+        best = max(weights)
+        if weights.count(best) > 1:
+            return None
+        best_id = distinct[weights.index(best)]
+        a = ids.index(best_id)
+        tied = [a]
+        for _ in range(ids.count(best_id) - 1):
+            a = ids.index(best_id, a + 1)
+            tied.append(a)
+        return tuple(tied)
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
         i = self._featurized(state)[action_id]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Hashable, Optional, Sequence
 
-from .qfunction import QFunction
+from .qfunction import QFunction, draw_tie
 
 # A mask is any sequence of booleans indexed by action id; where a mask is
 # optional, None means every action is allowed.
@@ -65,6 +65,41 @@ class SpotQTargets:
         return f"SpotQTargets{self._fields()!r}"
 
 
+def masked_ties(q: QFunction, state: Hashable, mask: Optional[ActionMask]) -> tuple[int, ...]:
+    """Every allowed action holding the best allowed value, ascending;
+    draw-free. ``mask=None`` means unrestricted.
+
+    When ``q.ties`` names the state's maximizers and the mask allows one,
+    the best allowed value is the state's best, so the allowed maximizers
+    are the answer and the row is not read.
+    """
+    tied = q.ties(state)
+    if tied is not None:
+        if mask is None:
+            return tied
+        allowed = tuple([a for a in tied if mask[a]])
+        if allowed:
+            return allowed
+    values = q.row(state)
+    if mask is None:
+        best = max(values)
+        return tuple(a for a, v in enumerate(values) if v == best)
+    best_value = None
+    scanned: list[int] = []
+    for a, ok in enumerate(mask):
+        if not ok:
+            continue
+        v = values[a]
+        if best_value is None or v > best_value:
+            best_value = v
+            scanned = [a]
+        elif v == best_value:
+            scanned.append(a)
+    if not scanned:
+        raise EmptyActionSpaceError("empty dynamic action space")
+    return tuple(scanned)
+
+
 def masked_argmax(q: QFunction, state: Hashable, mask: Optional[ActionMask],
                   tie_rng: random.Random) -> int:
     """Highest-valued allowed action; exact ties broken uniformly.
@@ -76,23 +111,7 @@ def masked_argmax(q: QFunction, state: Hashable, mask: Optional[ActionMask],
     """
     if mask is None:
         return q.greedy(state, tie_rng)
-    values = q.row(state)
-    best_value = None
-    tied: list[int] = []
-    for a, ok in enumerate(mask):
-        if not ok:
-            continue
-        v = values[a]
-        if best_value is None or v > best_value:
-            best_value = v
-            tied = [a]
-        elif v == best_value:
-            tied.append(a)
-    if not tied:
-        raise EmptyActionSpaceError("empty dynamic action space")
-    if len(tied) == 1:
-        return tied[0]
-    return tied[tie_rng.randrange(len(tied))]
+    return draw_tie(masked_ties(q, state, mask), tie_rng)
 
 
 def targets(

@@ -24,10 +24,10 @@ from typing import Callable, Optional
 
 from . import replay, seeding, spotq
 from .envs import Env
-from .qfunction import QFunction, TabularQ
+from .qfunction import QFunction, TabularQ, draw_tie
 from .replay import Experience, ReplayBuffer
 from .rewards import ConfigError, RewardConfig, instant_reward
-from .spotq import masked_argmax
+from .spotq import masked_argmax, masked_ties
 
 TERMINATION_COMPLETE = "Complete"
 TERMINATION_LIMIT = "ActionLimit"
@@ -64,6 +64,8 @@ class AgentConfig:
     def __post_init__(self):
         if self.use_spotq and not self.use_mask:
             raise ConfigError("use_spotq requires use_mask")
+        if self.training_action_budget < 0:
+            raise ConfigError("training_action_budget must be 0 or more")
         for eps in (self.epsilon_start, self.epsilon_end):
             if not 0.0 <= eps <= 1.0:
                 raise ConfigError("epsilon must be in [0, 1]")
@@ -142,9 +144,15 @@ def select_action(
     return masked_argmax(q, state, mask, tie_rng)
 
 
-def masked_policy_flag(q: QFunction, state, mask: list) -> bool:
+def masked_policy_flag(q: QFunction, state, mask: list, executed_value: float) -> bool:
     """True when the mask is doing work: some disallowed action out-values
-    every allowed one. Draw-free, for logging only."""
+    every allowed one. Draw-free, for logging only.
+
+    ``executed_value`` is the value of the executed (so allowed) action;
+    when it is the state's best value no disallowed action can beat it,
+    and the row is not read."""
+    if executed_value >= q.best_value(state):
+        return False
     best_allowed = None
     best_disallowed = None
     for v, ok in zip(q.row(state), mask):
@@ -171,14 +179,25 @@ def run_validation(q, env_factory: Callable[[], Env], cfg: AgentConfig, round_in
     number of completed trials. No learning, no situation removal."""
     stream = seeding.stream(cfg.seed, f"val-{round_index}")
     env = env_factory()
+    ties: dict = {}
     completed = 0
     for _ in range(cfg.validation_trials):
-        if run_greedy_trial(q, env, cfg.use_mask, stream).completed:
+        if run_greedy_trial(q, env, cfg.use_mask, stream, ties).completed:
             completed += 1
     return completed
 
 
-def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random) -> TrialRecord:
+def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random,
+                     ties: Optional[dict] = None) -> TrialRecord:
+    """One greedy trial on a fresh evaluation-range seed.
+
+    ``ties`` maps each state already acted in to its allowed tie tuple
+    (``masked_ties``); a probe shares one across its trials, which is exact
+    because Q does not change during a probe and a mask depends on the
+    state alone. Every tied action is checked against the mask when its
+    entry is made."""
+    if ties is None:
+        ties = {}
     state = env.reset(seeding.eval_env_seed(rng))
     ideal = env.ideal_actions()
     attempts: dict = {}
@@ -187,11 +206,14 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random) -> TrialRe
     completed = False
     event = None
     while not env.terminal:
-        mask = env.mask_for(state) if use_mask else None
-        action = masked_argmax(q, state, mask, rng)
-        if use_mask:
-            check_allowed(mask, action)
-        state, outcome, event = env.step(action)
+        tied = ties.get(state)
+        if tied is None:
+            mask = env.mask_for(state) if use_mask else None
+            tied = ties[state] = masked_ties(q, state, mask)
+            if use_mask:
+                for a in tied:
+                    check_allowed(mask, a)
+        state, outcome, event = env.step(draw_tie(tied, rng))
         steps += 1
         attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
         if outcome.success:
@@ -260,8 +282,9 @@ def run_training(
             action = select_action(q, state, mask, epsilon, action_rng, tie_rng, env.n_actions)
             if mask is not None:
                 check_allowed(mask, action)
-            masked_flag = masked_policy_flag(q, state, mask) if mask is not None else False
             predicted = q.value(state, action)
+            masked_flag = (masked_policy_flag(q, state, mask, predicted)
+                           if mask is not None else False)
             next_state, outcome, event = env.step(action)
 
             reward = env.instant_reward_override(outcome, rcfg.reward_kind)
@@ -358,9 +381,10 @@ def evaluate(
     """
     stream = seeding.stream(seed, "eval")
     env = env_factory()
+    ties: dict = {}
     trials: list[TrialRecord] = []
     for i in range(n_trials):
-        record = run_greedy_trial(q, env, use_mask, stream)
+        record = run_greedy_trial(q, env, use_mask, stream, ties)
         trials.append(replace(record, trial_id=i))
     done = [t for t in trials if t.completed]
     attempts: dict = {}

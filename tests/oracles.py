@@ -833,3 +833,30 @@ class KeyFeatures:
     def featurize(self, state):
         """The same features as PlainLinearQ's one-key tuples."""
         return [(key,) for key in self.keys(state)]
+
+
+# ---------------------------------------------------------------------------
+# Masked greedy pick and policy flag by plain row scans
+# ---------------------------------------------------------------------------
+
+
+def scan_pick(values, mask, tie_rng):
+    """The masked greedy pick over one row of values: the allowed actions
+    (every action when ``mask`` is None) holding the best allowed value, in
+    ascending order, and one ``tie_rng.randrange`` draw among them when
+    there are several. None when nothing is allowed."""
+    allowed = [a for a in range(len(values)) if mask is None or mask[a]]
+    if not allowed:
+        return None
+    best = max(values[a] for a in allowed)
+    tied = [a for a in allowed if values[a] == best]
+    if len(tied) == 1:
+        return tied[0]
+    return tied[tie_rng.randrange(len(tied))]
+
+
+def scan_flag(values, mask):
+    """Whether some disallowed action's value exceeds every allowed one's."""
+    allowed = [v for v, ok in zip(values, mask) if ok]
+    disallowed = [v for v, ok in zip(values, mask) if not ok]
+    return bool(allowed) and bool(disallowed) and max(disallowed) > max(allowed)

@@ -345,6 +345,9 @@ def test_experiment_spec_errors():
         harness.resolve_experiment_spec({**base, "bugdet": "5"})
     with pytest.raises(ConfigError):
         harness.resolve_experiment_spec({**base, "workers": "many"})
+    for workers in ("0", "-1"):  # not "auto" or "serial" in disguise
+        with pytest.raises(ConfigError):
+            harness.resolve_experiment_spec({**base, "workers": workers})
 
 
 def test_summarize_cell_and_table_cells():
@@ -664,6 +667,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     ("task=row", "goal_size=5", "num_blocks=5"),
     ("task=clear", "num_blocks=0"),
     ("action_limit=0",),
+    ("budget=-5",),
 ])
 def test_cli_rejects_settings_no_run_can_use(settings, tmp_path, capsys):
     """A setting that would crash training, or run it to a meaningless
@@ -941,6 +945,42 @@ def test_a_parallel_sweep_writes_the_serial_table(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "1" / "sweep.csv").read_bytes() == \
         (tmp_path / "2" / "sweep.csv").read_bytes()
+
+
+def test_a_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch, capsys):
+    """Asked for 200 workers, a two-run sweep sizes its pool at two; a worker
+    count below 1 exits 2 before anything runs."""
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    args = ["sweep", "--env", "blockworld", "--cells", "none+base", "--seeds", "0,1",
+            "--budget", "50", "--set", "eval_trials=2", "--set", "validation_every=0",
+            "--set", "log_steps=false"]
+    assert main(args + ["--workers", "200", "--out", str(tmp_path / "capped")]) == 0
+    assert sizes == [2]
+    for workers in ("0", "-1"):
+        assert main(args + ["--workers", workers, "--out", str(tmp_path / workers)]) == 2
+        assert not (tmp_path / workers).exists()
+    assert sizes == [2]
+    capsys.readouterr()
 
 
 def test_importing_the_harness_leaves_multiprocessing_out():

@@ -13,10 +13,17 @@ from spotrl.qfunction import (
     dump_qfunction,
     parse_qdump,
 )
-from spotrl.spotq import masked_argmax
-from spotrl.trainer import run_training
+from spotrl.spotq import EmptyActionSpaceError, masked_argmax, masked_ties
+from spotrl.trainer import masked_policy_flag, run_training
 
-from oracles import ForbiddenRandom, KeyFeatures, PlainLinearQ, block_feature_key
+from oracles import (
+    ForbiddenRandom,
+    KeyFeatures,
+    PlainLinearQ,
+    block_feature_key,
+    scan_flag,
+    scan_pick,
+)
 
 
 def joint_keys(state):
@@ -224,7 +231,7 @@ def test_block_run_featurizes_each_state_once():
         return read
 
     q.features.feature_ids = counting_feature_ids
-    for name in ("row", "value", "best_value", "greedy", "update"):
+    for name in ("row", "value", "best_value", "greedy", "ties", "update"):
         setattr(q, name, reading(getattr(q, name)))
     run_training(rc.make_env, rc.agent_config(), q=q)
     assert len(featurized) == len(set(reads)) > 4
@@ -332,12 +339,12 @@ def test_block_linear_q_matches_the_plain_reference(task, seed, data):
 
 
 def assert_greedy_matches_the_scan(q, state, seed, scanned=None):
-    """q.greedy and masked_argmax with no mask pick the action an all-true
-    mask's scan over ``scanned``'s row (q's own by default) picks, and leave
-    the tie stream in the same state; a unique maximizer draws nothing."""
+    """q.greedy and masked_argmax with no mask pick the action a plain scan
+    of ``scanned``'s row (q's own by default) picks, and leave the tie
+    stream in the same state; a unique maximizer draws nothing."""
     scanned = q if scanned is None else scanned
     rng = random.Random(seed)
-    expected = (masked_argmax(scanned, state, [True] * q.n_actions, rng), rng.getstate())
+    expected = (scan_pick(scanned.row(state), None, rng), rng.getstate())
     for pick in (q.greedy, lambda s, r: masked_argmax(q, s, None, r)):
         rng = random.Random(seed)
         assert (pick(state, rng), rng.getstate()) == expected
@@ -393,6 +400,94 @@ def test_linear_greedy_matches_the_scan(case, ops, seed):
     for state in range(6):
         assert_greedy_matches_the_scan(q, state, seed)
         assert repr(q.best_value(state)) == repr(max(q.row(state)))
+
+
+# -- masked picks and the policy flag -----------------------------------------
+
+
+def masks_around_the_best(values, bits):
+    """Masks that keep all, some or none of the row's maximizers and of the
+    other actions, plus ``bits`` as drawn and the empty mask."""
+    best = max(values)
+    top = [v == best for v in values]
+    return [
+        [True] * len(values),
+        [not t for t in top],
+        [t and b for t, b in zip(top, bits)],
+        [b or not t for t, b in zip(top, bits)],
+        [t or b for t, b in zip(top, bits)],
+        list(bits[:len(values)]),
+        [False] * len(values),
+    ]
+
+
+def assert_masked_reads_match_the_scan(q, state, bits, seed):
+    """Under every mask around the row's maximizers, masked_argmax picks and
+    draws as a plain scan of the row does (or finds nothing allowed),
+    masked_ties lists what the scan ties over, and masked_policy_flag at
+    each allowed action's value is the scanned flag."""
+    values = q.row(state)
+    for mask in masks_around_the_best(values, bits):
+        rng, scanned = random.Random(seed), random.Random(seed)
+        expected = scan_pick(values, mask, scanned)
+        if expected is None:
+            with pytest.raises(EmptyActionSpaceError):
+                masked_argmax(q, state, mask, rng)
+            continue
+        assert (masked_argmax(q, state, mask, rng), rng.getstate()) == \
+            (expected, scanned.getstate())
+        best = max(v for v, ok in zip(values, mask) if ok)
+        assert masked_ties(q, state, mask) == \
+            tuple(a for a, ok in enumerate(mask) if ok and values[a] == best)
+        for a in (a for a, ok in enumerate(mask) if ok):
+            assert masked_policy_flag(q, state, mask, q.value(state, a)) == \
+                scan_flag(values, mask)
+    best = max(values)
+    assert masked_ties(q, state, None) == tuple(a for a, v in enumerate(values) if v == best)
+
+
+MASK_BITS = st.lists(st.booleans(), min_size=6, max_size=6)
+
+
+@given(ops=TABLE_OPS, initial=st.sampled_from((0.0, -0.0)), bits=MASK_BITS,
+       seed=st.integers(0, 2**16))
+def test_tabular_masked_reads_match_the_scan(ops, initial, bits, seed):
+    """TabularQ has no ties shortcut: its masked picks, tie lists and flags
+    are the plain scan's, -0.0 and 0.0 side by side included."""
+    q = TabularQ(4, initial=initial)
+    assert q.ties("s") is None
+    for state, action, x, lr in ops:
+        if lr is None:
+            q.load_records([(repr(state), action, x)])
+        else:
+            q.update(state, action, x, lr)
+        assert_masked_reads_match_the_scan(q, state, bits, seed)
+    for state in TABLE_STATES + ("unseen",):
+        assert_masked_reads_match_the_scan(q, state, bits, seed)
+
+
+@pytest.mark.parametrize("case", sorted(GREEDY_CASES))
+@given(ops=GREEDY_OPS, bits=MASK_BITS, seed=st.integers(0, 2**16))
+def test_linear_masked_reads_match_the_scan(case, ops, bits, seed):
+    """LinearQ.ties names the maximizers only when one id holds the best
+    weight, and masked picks through it pick, draw and flag as the plain
+    scan does: with ties across ids, -0.0 weights, and masks that remove
+    some, all or none of the maximizers."""
+    n_actions, keys = GREEDY_CASES[case]
+    q = LinearQ(KeyFeatures(n_actions, keys))
+    for state, action, x, lr in ops:
+        action %= n_actions
+        if lr is None:
+            q.load_records([(repr(keys(state)[action]), -1, x)])
+        else:
+            q.update(state, action, x, lr)
+        assert_masked_reads_match_the_scan(q, state, bits, seed)
+    for state in range(6):
+        assert_masked_reads_match_the_scan(q, state, bits, seed)
+        values = q.row(state)
+        tied = tuple(a for a, v in enumerate(values) if v == max(values))
+        ids = {q.features.feature_ids(state)[a] for a in tied}
+        assert q.ties(state) == (tied if len(ids) == 1 else None)
 
 
 # -- rows -------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Agent loop: schedules, masking during training, validation, evaluation."""
 
+import functools
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spotrl import seeding, trainer
 from spotrl.envs import Env
 from spotrl.envs.blockworld import BlockWorld
 from spotrl.envs.gridworld import GridWorld
-from spotrl.qfunction import TabularQ
+from spotrl.qfunction import LinearQ, TabularQ
 from spotrl.rewards import ConfigError, RewardConfig, trial_backfill
 from spotrl.spotq import DisallowedActionError
 from spotrl.trainer import (
@@ -23,10 +25,12 @@ from spotrl.trainer import (
     masked_policy_flag,
     run_greedy_trial,
     run_training,
+    run_validation,
     select_action,
+    termination_label,
 )
 
-from oracles import ChainEnv, CountingRandom
+from oracles import ChainEnv, CountingRandom, scan_pick
 
 CHAIN_WEIGHTS = {"back": 1.0, "forward": 1.0}
 GRID_WEIGHTS = {"forward": 1.0, "turn_left": 1.0, "turn_right": 1.0}
@@ -164,13 +168,16 @@ def test_every_env_step_returns_state_outcome_event():
 
 
 def test_masked_policy_flag():
+    """The last argument is the executed (allowed) action's value."""
     q = TabularQ(3)
     q.update("s", 0, 1.0, 1.0)  # disallowed below
     q.update("s", 1, 0.5, 1.0)
-    assert masked_policy_flag(q, "s", [False, True, True]) is True
-    assert masked_policy_flag(q, "s", [True, True, False]) is False
-    assert masked_policy_flag(q, "s", [True, True, True]) is False  # nothing masked
-    assert masked_policy_flag(q, "s", [False, False, False]) is False
+    assert masked_policy_flag(q, "s", [False, True, True], 0.5) is True
+    assert masked_policy_flag(q, "s", [False, True, True], 0.0) is True
+    assert masked_policy_flag(q, "s", [True, True, False], 1.0) is False
+    assert masked_policy_flag(q, "s", [True, True, False], 0.0) is False
+    assert masked_policy_flag(q, "s", [True, True, True], 0.5) is False  # nothing masked
+    assert masked_policy_flag(q, "s", [False, False, False], 0.0) is False
 
 
 # -- training loop ----------------------------------------------------------
@@ -357,10 +364,79 @@ def test_greedy_trials_respect_the_mask():
         assert record.termination != TERMINATION_LAVA
 
 
+def plain_greedy_trial(q, env, use_mask, rng):
+    """A greedy trial without a memo: every step scans the state's row under
+    a fresh mask."""
+    state = env.reset(seeding.eval_env_seed(rng))
+    ideal = env.ideal_actions()
+    attempts, successes = {}, {}
+    steps, completed, event = 0, False, None
+    while not env.terminal:
+        mask = env.mask_for(state) if use_mask else None
+        state, outcome, event = env.step(scan_pick(q.row(state), mask, rng))
+        steps += 1
+        attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
+        if outcome.success:
+            successes[outcome.action_type] = successes.get(outcome.action_type, 0) + 1
+        completed = outcome.task_complete
+    return TrialRecord(trial_id=0, completed=completed, actions_taken=steps,
+                       ideal_actions=ideal, attempts=attempts, successes=successes,
+                       termination=termination_label(completed, event))
+
+
+PROBE_RUNS = {
+    "grid": (GridWorld, GRID_WEIGHTS, "progress", 600),
+    "block": (BlockWorld, BLOCK_WEIGHTS, "trial_progress", 300),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def probed_run(name):
+    """A briefly trained Q (unvisited states still tie at 0) and its config."""
+    factory, weights, kind, budget = PROBE_RUNS[name]
+    cfg = AgentConfig(reward=RewardConfig(weights=weights, reward_kind=kind),
+                      training_action_budget=budget, use_mask=True, use_spotq=True,
+                      validation_every=0, validation_trials=5)
+    q = LinearQ(factory()) if factory is BlockWorld else TabularQ(factory().n_actions)
+    return factory, cfg, run_training(factory, cfg, q=q)[0]
+
+
+@pytest.mark.parametrize("use_mask", [True, False])
+@pytest.mark.parametrize("name", sorted(PROBE_RUNS))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_a_shared_probe_memo_matches_an_unmemoized_greedy_loop(name, use_mask, seed):
+    """Greedy trials sharing one tie memo, evaluation and a validation round
+    give the records, completions and tie-stream states of greedy trials
+    that scan every step's row, with and without the mask."""
+    factory, cfg, q = probed_run(name)
+    rng, plain_rng = random.Random(seed), random.Random(seed)
+    env, plain_env = factory(), factory()
+    ties, steps = {}, 0
+    for _ in range(6):
+        record = run_greedy_trial(q, env, use_mask, rng, ties)
+        steps += record.actions_taken
+        assert (record, rng.getstate()) == \
+            (plain_greedy_trial(q, plain_env, use_mask, plain_rng), plain_rng.getstate())
+    assert len(ties) < steps  # the memo answered some steps
+
+    stream = seeding.stream(seed, "eval")
+    expected = [replace(plain_greedy_trial(q, plain_env, use_mask, stream), trial_id=i)
+                for i in range(8)]
+    assert evaluate(q, factory, 8, seed, use_mask)[1] == expected
+
+    val_cfg = replace(cfg, seed=seed, use_mask=use_mask, use_spotq=use_mask)
+    stream = seeding.stream(seed, "val-3")
+    completed = sum(plain_greedy_trial(q, plain_env, use_mask, stream).completed
+                    for _ in range(val_cfg.validation_trials))
+    assert run_validation(q, factory, val_cfg, 3) == completed
+
+
 def test_a_disallowed_pick_raises(monkeypatch):
     """The mask check is an exception, not an assert, so it also holds under
     ``python -O``. A policy forced onto a masked action (place with an empty
     gripper) is stopped in both greedy trials and training."""
+    monkeypatch.setattr(trainer, "masked_ties", lambda q, state, mask: (mask.index(False),))
     monkeypatch.setattr(trainer, "masked_argmax",
                         lambda q, state, mask, rng: mask.index(False))
     with pytest.raises(DisallowedActionError):

@@ -490,10 +490,11 @@ def qdump_header(rc: RunConfig) -> dict[str, str]:
 def load_qdump(path: Path) -> tuple[QFunction, dict[str, str]]:
     """Rebuild a Q-function (and its header fields) from a qtable.txt."""
     fields, rows = parse_qdump(path.read_text())
-    if fields.get("kind") == "linear":
-        q = header_run_config(fields).make_q()
-    else:
-        q = TabularQ(int(fields["n_actions"]))
+    q = header_run_config(fields).make_q()
+    if (fields.get("kind"), fields.get("n_actions")) != (q.kind, str(q.n_actions)):
+        raise ValueError(f"header kind={fields.get('kind')} n_actions={fields.get('n_actions')}"
+                         f" does not match the {fields.get('environment')} env's"
+                         f" {q.kind} Q over {q.n_actions} actions")
     q.load_records(rows)
     return q, fields
 

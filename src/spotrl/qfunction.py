@@ -16,18 +16,15 @@ Reads come in two shapes: ``value(state, a)`` is one entry, and
 ``row(state)`` is the list of every action's value at ``state``, each entry
 bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
 (masked greedy picks, ``best_value``) reads one row, so a state is looked up
-or featurized once per scan rather than once per action. ``greedy(state,
-tie_rng)`` is the unrestricted greedy pick (``spotq.masked_argmax`` with no
-mask): the best-valued action, exact ties broken by one draw, the same pick
-and the same draw as a scan of the row. ``LinearQ`` also keeps the feature
-ids of every state it has read, so a state is featurized once per
+or featurized once per scan rather than once per action. ``ties(state)`` is
+the one argmax read: every action holding the state's best value, in
+ascending order, the same tuple a scan of the row lists. Greedy picks draw
+among it (``draw_tie``), masked picks filter it. ``LinearQ`` also keeps the
+feature ids of every state it has read, so a state is featurized once per
 Q-function, and a row is one gather from the flat weights; ``best_value``
-and ``greedy`` read only the state's distinct ids (12-18 of the block
-world's 96), because actions sharing an id share its weight. That memo
-grows with the distinct states visited. ``ties(state)`` lists the actions
-holding the state's best value when the Q can name them without reading
-the row (``LinearQ``: one id holds the best weight), so a masked pick that
-allows one of them skips the row; otherwise it is None.
+and ``ties`` read only the state's distinct ids (12-18 of the block world's
+96), because actions sharing an id share its weight. That memo grows with
+the distinct states visited.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
 and return the value they blended from, the same float ``value()`` read
@@ -39,7 +36,7 @@ from __future__ import annotations
 import ast
 import random
 from operator import itemgetter
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable
 
 
 def draw_tie(tied: tuple[int, ...], tie_rng: random.Random) -> int:
@@ -48,20 +45,21 @@ def draw_tie(tied: tuple[int, ...], tie_rng: random.Random) -> int:
     return tied[0] if len(tied) == 1 else tied[tie_rng.randrange(len(tied))]
 
 
-def _drawn_position(seq, x, tie_rng: random.Random) -> int:
-    """The first position of ``x`` in ``seq``, or, when ``x`` occurs more
-    than once, the occurrence one ``tie_rng.randrange(count)`` draw names,
-    counting in ascending order."""
+def _positions(seq, x) -> tuple[int, ...]:
+    """Every position of ``x`` in ``seq``, ascending."""
     a = seq.index(x)
     n = seq.count(x)
-    if n > 1:
-        for _ in range(tie_rng.randrange(n)):
-            a = seq.index(x, a + 1)
-    return a
+    if n == 1:
+        return (a,)
+    tied = [a]
+    for _ in range(n - 1):
+        a = seq.index(x, a + 1)
+        tied.append(a)
+    return tuple(tied)
 
 
 class QFunction:
-    """Interface: value / row / greedy / ties / update plus text serialization."""
+    """Interface: value / row / ties / update plus text serialization."""
 
     n_actions: int
 
@@ -81,18 +79,11 @@ class QFunction:
         """max_a Q(state, a) over the full action set."""
         return max(self.row(state))
 
-    def greedy(self, state: Hashable, tie_rng: random.Random) -> int:
-        """argmax_a Q(state, a) over the full action set. Exact ties are
-        listed in ascending action order and broken by one
-        ``tie_rng.randrange(len(tied))`` draw, made only when more than one
-        action ties: ``spotq.masked_argmax``'s rule under an all-true mask."""
+    def ties(self, state: Hashable) -> tuple[int, ...]:
+        """Every action holding the state's best value, ascending: the
+        argmax over the full action set, before any tie is broken."""
         values = self.row(state)
-        return _drawn_position(values, max(values), tie_rng)
-
-    def ties(self, state: Hashable) -> Optional[tuple[int, ...]]:
-        """Every action holding the state's best value, ascending, when the
-        Q can name them without reading the row; otherwise None."""
-        return None
+        return _positions(values, max(values))
 
     def records(self) -> list[tuple[str, int, float]]:
         """Sorted (key, action, value) text records for diff-able dumps."""
@@ -106,7 +97,7 @@ class TabularQ(QFunction):
     value, ``initial`` where never written, and ``written`` flags the
     actions that were written (or loaded). Records and ``len()`` see only
     the flagged entries, so a dump lists exactly what was written.
-    ``row`` returns a copy of the stored row; ``best_value`` and ``greedy``
+    ``row`` returns a copy of the stored row; ``best_value`` and ``ties``
     read it in place."""
 
     kind = "tabular"
@@ -137,10 +128,11 @@ class TabularQ(QFunction):
         entry = self._table.get(state)
         return self.initial if entry is None else max(entry[0])
 
-    def greedy(self, state: Hashable, tie_rng: random.Random) -> int:
+    def ties(self, state: Hashable) -> tuple[int, ...]:
         entry = self._table.get(state)
-        values = [self.initial] * self.n_actions if entry is None else entry[0]
-        return _drawn_position(values, max(values), tie_rng)
+        if entry is None:
+            return tuple(range(self.n_actions))
+        return _positions(entry[0], max(entry[0]))
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
         row, written = self._table.get(state) or self._entry(state)
@@ -162,9 +154,12 @@ class TabularQ(QFunction):
 
     def load_records(self, rows: Iterable[tuple[str, int, float]]) -> None:
         for key, action, value in rows:
-            values, written = self._entry(ast.literal_eval(key))
-            values[int(action)] = value
-            written[int(action)] = True
+            a = int(action)
+            if not 0 <= a < self.n_actions:
+                raise ValueError(f"action {a} outside 0..{self.n_actions - 1}")
+            values, written = self._entry(_parse_key(key))
+            values[a] = value
+            written[a] = True
 
 
 class LinearQ(QFunction):
@@ -178,7 +173,7 @@ class LinearQ(QFunction):
     one tuple from its first read on, so ``feature_ids`` must be pure and
     runs once per distinct state; the memo grows by about 0.8 KB per
     distinct state over the block world's 96 actions. A state read by
-    ``best_value``, ``greedy`` or ``ties`` also keeps its distinct ids, in
+    ``best_value`` or ``ties`` also keeps its distinct ids, in
     order of first occurrence, and a getter over them: about 0.3 KB more.
     Weights are never cached. A row is one gather from the flat list; ``best_value``
     is the maximum of the distinct weights, the same float as the row's.
@@ -196,7 +191,7 @@ class LinearQ(QFunction):
         # state -> its feature ids, by action id, for every state read.
         self._ids: dict[Hashable, tuple[int, ...]] = {}
         # state -> (ids, distinct ids, getter of their weights), for every
-        # state best_value, greedy or ties read.
+        # state best_value or ties read.
         self._distinct: dict[Hashable, tuple] = {}
 
     def _featurized(self, state: Hashable) -> tuple[int, ...]:
@@ -232,32 +227,16 @@ class LinearQ(QFunction):
     def best_value(self, state: Hashable) -> float:
         return max(self._distinct_ids(state)[2](self._flat))
 
-    def greedy(self, state: Hashable, tie_rng: random.Random) -> int:
-        ids, distinct, get = self._distinct_ids(state)
-        weights = get(self._flat)
-        best = max(weights)
-        if weights.count(best) > 1:
-            # Several ids hold the best weight: tie over the whole row.
-            return QFunction.greedy(self, state, tie_rng)
-        # One id holds it; the tied actions are that id's positions.
-        return _drawn_position(ids, distinct[weights.index(best)], tie_rng)
-
-    def ties(self, state: Hashable) -> Optional[tuple[int, ...]]:
+    def ties(self, state: Hashable) -> tuple[int, ...]:
         """The positions of the one id holding the best weight, since
-        actions sharing an id share its weight; None when several ids
-        hold it."""
+        actions sharing an id share its weight; a row scan when several
+        ids hold it."""
         ids, distinct, get = self._distinct_ids(state)
         weights = get(self._flat)
         best = max(weights)
         if weights.count(best) > 1:
-            return None
-        best_id = distinct[weights.index(best)]
-        a = ids.index(best_id)
-        tied = [a]
-        for _ in range(ids.count(best_id) - 1):
-            a = ids.index(best_id, a + 1)
-            tied.append(a)
-        return tuple(tied)
+            return QFunction.ties(self, state)
+        return _positions(ids, distinct[weights.index(best)])
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
         i = self._featurized(state)[action_id]
@@ -280,10 +259,21 @@ class LinearQ(QFunction):
 
     def load_records(self, rows: Iterable[tuple[str, int, float]]) -> None:
         for key, _action, value in rows:
-            i = self.features.feature_id(ast.literal_eval(key))
+            i = self.features.feature_id(_parse_key(key))
             self._grow()
             self._raw[i] = value
             self._flat[i] = 0.0 + value
+
+
+def _parse_key(text: str) -> Hashable:
+    """A record key back from its repr; ValueError unless it is a hashable
+    literal."""
+    try:
+        key = ast.literal_eval(text)
+        hash(key)
+    except (SyntaxError, TypeError) as exc:
+        raise ValueError(f"bad key {text!r}: {exc}") from None
+    return key
 
 
 def dump_qfunction(q: QFunction, header_fields: dict[str, str]) -> str:
@@ -311,5 +301,8 @@ def parse_qdump(text: str) -> tuple[dict[str, str], list[tuple[str, int, float]]
         if not line.strip():
             continue
         key, action, value = line.split("\t")
-        rows.append((key, int(action), float(ast.literal_eval(value))))
+        try:
+            rows.append((key, int(action), float(ast.literal_eval(value))))
+        except (SyntaxError, TypeError) as exc:
+            raise ValueError(f"bad value {value!r}: {exc}") from None
     return fields, rows

@@ -13,6 +13,7 @@ known to destabilize training.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
 from .qfunction import QFunction, draw_tie
@@ -31,73 +32,36 @@ class DisallowedActionError(RuntimeError):
     """A masked policy picked an action its mask disallows."""
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class SpotQTargets:
     """Targets for one replayed transition.
 
     ``masked_target``/``masked_action`` are present iff the unrestricted
-    greedy action at the stored state was disallowed by the mask. A plain
-    slotted class rather than a dataclass, because one is built per replayed
-    update; equal by value.
+    greedy action at the stored state was disallowed by the mask. Slotted,
+    because one is built per replayed update; equal by value.
     """
 
-    __slots__ = ("executed_target", "masked_target", "masked_action")
-
-    def __init__(self, executed_target: float, masked_target: Optional[float] = None,
-                 masked_action: Optional[int] = None):
-        if (masked_target is None) != (masked_action is None):
-            raise ValueError("masked_target and masked_action must appear together")
-        self.executed_target = executed_target
-        self.masked_target = masked_target
-        self.masked_action = masked_action
-
-    def _fields(self) -> tuple:
-        return (self.executed_target, self.masked_target, self.masked_action)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpotQTargets):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"SpotQTargets{self._fields()!r}"
+    executed_target: float
+    masked_target: Optional[float] = None
+    masked_action: Optional[int] = None
 
 
-def masked_ties(q: QFunction, state: Hashable, mask: Optional[ActionMask]) -> tuple[int, ...]:
+def masked_ties(q: QFunction, state: Hashable, mask: ActionMask) -> tuple[int, ...]:
     """Every allowed action holding the best allowed value, ascending;
-    draw-free. ``mask=None`` means unrestricted.
+    draw-free.
 
-    When ``q.ties`` names the state's maximizers and the mask allows one,
-    the best allowed value is the state's best, so the allowed maximizers
-    are the answer and the row is not read.
+    When the mask allows one of ``q.ties``, the best allowed value is the
+    state's best, so the allowed maximizers are the answer and the row is
+    scanned only when it allows none of them.
     """
-    tied = q.ties(state)
-    if tied is not None:
-        if mask is None:
-            return tied
-        allowed = tuple([a for a in tied if mask[a]])
-        if allowed:
-            return allowed
-    values = q.row(state)
-    if mask is None:
-        best = max(values)
-        return tuple(a for a, v in enumerate(values) if v == best)
-    best_value = None
-    scanned: list[int] = []
-    for a, ok in enumerate(mask):
-        if not ok:
-            continue
-        v = values[a]
-        if best_value is None or v > best_value:
-            best_value = v
-            scanned = [a]
-        elif v == best_value:
-            scanned.append(a)
-    if not scanned:
+    if True not in mask:
         raise EmptyActionSpaceError("empty dynamic action space")
-    return tuple(scanned)
+    allowed = tuple([a for a in q.ties(state) if mask[a]])
+    if allowed:
+        return allowed
+    values = q.row(state)
+    best = max([v for v, ok in zip(values, mask) if ok])
+    return tuple([a for a, ok in enumerate(mask) if ok and values[a] == best])
 
 
 def masked_argmax(q: QFunction, state: Hashable, mask: Optional[ActionMask],
@@ -106,12 +70,10 @@ def masked_argmax(q: QFunction, state: Hashable, mask: Optional[ActionMask],
 
     The tie draw consumes randomness only when there really is a tie, so
     deterministic replays are unaffected by states with a unique maximizer.
-    ``mask=None`` means unrestricted: the pick is ``q.greedy``, the same
+    ``mask=None`` means unrestricted: a draw among ``q.ties``, the same
     action and draw as an all-true mask.
     """
-    if mask is None:
-        return q.greedy(state, tie_rng)
-    return draw_tie(masked_ties(q, state, mask), tie_rng)
+    return draw_tie(q.ties(state) if mask is None else masked_ties(q, state, mask), tie_rng)
 
 
 def targets(

@@ -153,17 +153,7 @@ def masked_policy_flag(q: QFunction, state, mask: list, executed_value: float) -
     and the row is not read."""
     if executed_value >= q.best_value(state):
         return False
-    best_allowed = None
-    best_disallowed = None
-    for v, ok in zip(q.row(state), mask):
-        if ok:
-            if best_allowed is None or v > best_allowed:
-                best_allowed = v
-        elif best_disallowed is None or v > best_disallowed:
-            best_disallowed = v
-    if best_allowed is None or best_disallowed is None:
-        return False
-    return best_disallowed > best_allowed
+    return True in mask and not any(mask[a] for a in q.ties(state))
 
 
 def check_allowed(mask: list, action: int) -> None:
@@ -192,10 +182,10 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random,
     """One greedy trial on a fresh evaluation-range seed.
 
     ``ties`` maps each state already acted in to its allowed tie tuple
-    (``masked_ties``); a probe shares one across its trials, which is exact
-    because Q does not change during a probe and a mask depends on the
-    state alone. Every tied action is checked against the mask when its
-    entry is made."""
+    (``masked_ties``, or ``q.ties`` without the mask); a probe shares one
+    across its trials, which is exact because Q does not change during a
+    probe and a mask depends on the state alone. Every tied action is
+    checked against the mask when its entry is made."""
     if ties is None:
         ties = {}
     state = env.reset(seeding.eval_env_seed(rng))
@@ -208,11 +198,13 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random,
     while not env.terminal:
         tied = ties.get(state)
         if tied is None:
-            mask = env.mask_for(state) if use_mask else None
-            tied = ties[state] = masked_ties(q, state, mask)
             if use_mask:
+                mask = env.mask_for(state)
+                tied = ties[state] = masked_ties(q, state, mask)
                 for a in tied:
                     check_allowed(mask, a)
+            else:
+                tied = ties[state] = q.ties(state)
         state, outcome, event = env.step(draw_tie(tied, rng))
         steps += 1
         attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1

@@ -898,6 +898,46 @@ def test_cli_eval_scenario_needs_a_blockworld_model(trained_grid, tmp_path, caps
     assert not out.exists()
 
 
+def first_row_with(text, key=None, action=None):
+    """``text`` with its first record's key or action column replaced."""
+    header, first, *rest = text.splitlines()
+    k, a, v = first.split("\t")
+    row = f"{k if key is None else key}\t{a if action is None else action}\t{v}"
+    return "\n".join([header, row, *rest]) + "\n"
+
+
+def header_with(text, old, new):
+    assert old in text.splitlines()[0]
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("model, fault", [
+    ("grid", lambda t: first_row_with(t, action=-1)),
+    ("grid", lambda t: first_row_with(t, action=7)),
+    ("grid", lambda t: first_row_with(t, key="(((")),
+    ("block", lambda t: first_row_with(t, key="(((")),
+    ("grid", lambda t: first_row_with(t, key="[1, 2]")),
+    ("block", lambda t: first_row_with(t, key="[1, 2]")),
+    ("grid", lambda t: header_with(t, "n_actions=3", "n_actions=5")),
+], ids=["action=-1", "action=7", "grid-key=(((", "block-key=(((", "grid-key=[1, 2]",
+        "block-key=[1, 2]", "n_actions=5"])
+def test_cli_eval_rejects_a_malformed_model(model, fault, request, tmp_path, capsys):
+    """A record whose action is outside the env's actions or whose key is
+    not a hashable literal, and a header whose n_actions is not the env's,
+    exit 2 with an error before anything is evaluated, not a traceback or
+    a silently misread model."""
+    if model == "grid":
+        source = request.getfixturevalue("trained_grid") / "qtable.txt"
+    else:
+        source = request.getfixturevalue("trained_run")[1] / "qtable.txt"
+    bad = tmp_path / "qtable.txt"
+    bad.write_text(fault(source.read_text()))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--model", str(bad), "--trials", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse model file")
+    assert not out.exists()
+
+
 def test_cli_sweep_end_to_end(tmp_path, capsys):
     """A tiny two-cell sweep writes per-run artifacts, per-cell summaries,
     and the combined table — and reruns reproduce the table byte-for-byte."""

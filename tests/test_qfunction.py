@@ -179,7 +179,7 @@ def test_linear_records_use_feature_keys():
 def test_linear_featurizes_each_state_once():
     """feature_ids runs once per distinct state for the life of the
     Q-function, across more states than any short cycle and with revisits,
-    and the distinct ids best_value and greedy read add no call; the
+    and the distinct ids best_value and ties read add no call; the
     weights are never cached: reads after an update are fresh."""
     seen = []
 
@@ -200,7 +200,7 @@ def test_linear_featurizes_each_state_once():
     for state in ("u", "v", "w", "x", "y", "s", "u", "t", "y", "s"):
         q.row(state)
         q.best_value(state)
-        q.greedy(state, random.Random(0))
+        q.ties(state)
     assert seen == ["s", "t", "u", "v", "w", "x", "y"]
     q.update("s", 1, 1.0, 0.5)
     assert q.row("s") == [0.0, 0.75] and q.best_value("s") == 0.75
@@ -231,7 +231,7 @@ def test_block_run_featurizes_each_state_once():
         return read
 
     q.features.feature_ids = counting_feature_ids
-    for name in ("row", "value", "best_value", "greedy", "ties", "update"):
+    for name in ("row", "value", "best_value", "ties", "update"):
         setattr(q, name, reading(getattr(q, name)))
     run_training(rc.make_env, rc.agent_config(), q=q)
     assert len(featurized) == len(set(reads)) > 4
@@ -293,9 +293,9 @@ UNBUILT = st.tuples(st.integers(0, 1), st.sampled_from([
 def test_block_linear_q_matches_the_plain_reference(task, seed, data):
     """On a random walk over allowed block-world actions, LinearQ over one
     env's feature ids and PlainLinearQ over block_feature_key agree at every
-    step: value, row, best_value and update returns, records, and greedy
-    against a scan of the plain row, with -0.0 weights loaded for visited
-    keys and for keys no signature table holds yet."""
+    step: value, row, best_value and update returns, records, and ties and
+    the unmasked pick against a scan of the plain row, with -0.0 weights
+    loaded for visited keys and for keys no signature table holds yet."""
     walker, owner = BlockWorld(task=task), BlockWorld(task=task)
     q = LinearQ(owner)
     features = {}
@@ -339,24 +339,26 @@ def test_block_linear_q_matches_the_plain_reference(task, seed, data):
 
 
 def assert_greedy_matches_the_scan(q, state, seed, scanned=None):
-    """q.greedy and masked_argmax with no mask pick the action a plain scan
-    of ``scanned``'s row (q's own by default) picks, and leave the tie
-    stream in the same state; a unique maximizer draws nothing."""
+    """masked_argmax with no mask picks the action a plain scan of
+    ``scanned``'s row (q's own by default) picks, and leaves the tie stream
+    in the same state, and q.ties is the scan's tie list; a unique
+    maximizer draws nothing."""
     scanned = q if scanned is None else scanned
-    rng = random.Random(seed)
-    expected = (scan_pick(scanned.row(state), None, rng), rng.getstate())
-    for pick in (q.greedy, lambda s, r: masked_argmax(q, s, None, r)):
-        rng = random.Random(seed)
-        assert (pick(state, rng), rng.getstate()) == expected
     values = scanned.row(state)
+    rng = random.Random(seed)
+    expected = (scan_pick(values, None, rng), rng.getstate())
+    rng = random.Random(seed)
+    assert (masked_argmax(q, state, None, rng), rng.getstate()) == expected
+    assert q.ties(state) == tuple(a for a, v in enumerate(values) if v == max(values))
     if values.count(max(values)) == 1:
-        assert q.greedy(state, ForbiddenRandom()) == expected[0]
+        assert masked_argmax(q, state, None, ForbiddenRandom()) == expected[0]
 
 
 @given(ops=TABLE_OPS, initial=st.sampled_from((0.0, -0.0)), seed=st.integers(0, 2**16))
 def test_tabular_greedy_matches_the_scan(ops, initial, seed):
-    """TabularQ.greedy reads the stored row in place and picks and draws as
-    the all-true scan does, at written and unseen states, -0.0 included."""
+    """TabularQ.ties reads the stored row in place, and the unmasked pick
+    picks and draws as the all-true scan does, at written and unseen
+    states, -0.0 included."""
     q = TabularQ(4, initial=initial)
     for state, action, x, lr in ops:
         if lr is None:
@@ -385,9 +387,10 @@ GREEDY_OPS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), WEIGHTS,
 @pytest.mark.parametrize("case", sorted(GREEDY_CASES))
 @given(ops=GREEDY_OPS, seed=st.integers(0, 2**16))
 def test_linear_greedy_matches_the_scan(case, ops, seed):
-    """LinearQ.greedy over distinct ids picks and draws as the all-true scan
-    of the row does: with many actions on one id, with several ids tied at
-    the best weight, and with a single id, as weights change under it."""
+    """LinearQ.ties over distinct ids lists, and the unmasked pick through
+    it picks and draws, as the all-true scan of the row does: with many
+    actions on one id, with several ids tied at the best weight, and with a
+    single id, as weights change under it."""
     n_actions, keys = GREEDY_CASES[case]
     q = LinearQ(KeyFeatures(n_actions, keys))
     for state, action, x, lr in ops:
@@ -443,7 +446,7 @@ def assert_masked_reads_match_the_scan(q, state, bits, seed):
             assert masked_policy_flag(q, state, mask, q.value(state, a)) == \
                 scan_flag(values, mask)
     best = max(values)
-    assert masked_ties(q, state, None) == tuple(a for a, v in enumerate(values) if v == best)
+    assert q.ties(state) == tuple(a for a, v in enumerate(values) if v == best)
 
 
 MASK_BITS = st.lists(st.booleans(), min_size=6, max_size=6)
@@ -452,10 +455,10 @@ MASK_BITS = st.lists(st.booleans(), min_size=6, max_size=6)
 @given(ops=TABLE_OPS, initial=st.sampled_from((0.0, -0.0)), bits=MASK_BITS,
        seed=st.integers(0, 2**16))
 def test_tabular_masked_reads_match_the_scan(ops, initial, bits, seed):
-    """TabularQ has no ties shortcut: its masked picks, tie lists and flags
-    are the plain scan's, -0.0 and 0.0 side by side included."""
+    """TabularQ's ties, masked picks, tie lists and flags are the plain
+    scan's, at unseen states and with -0.0 and 0.0 side by side."""
     q = TabularQ(4, initial=initial)
-    assert q.ties("s") is None
+    assert q.ties("s") == (0, 1, 2, 3)
     for state, action, x, lr in ops:
         if lr is None:
             q.load_records([(repr(state), action, x)])
@@ -469,10 +472,10 @@ def test_tabular_masked_reads_match_the_scan(ops, initial, bits, seed):
 @pytest.mark.parametrize("case", sorted(GREEDY_CASES))
 @given(ops=GREEDY_OPS, bits=MASK_BITS, seed=st.integers(0, 2**16))
 def test_linear_masked_reads_match_the_scan(case, ops, bits, seed):
-    """LinearQ.ties names the maximizers only when one id holds the best
-    weight, and masked picks through it pick, draw and flag as the plain
-    scan does: with ties across ids, -0.0 weights, and masks that remove
-    some, all or none of the maximizers."""
+    """LinearQ.ties is the scan's tie list whether one id or several hold
+    the best weight, and masked picks through it pick, draw and flag as the
+    plain scan does: with ties across ids, -0.0 weights, and masks that
+    remove some, all or none of the maximizers."""
     n_actions, keys = GREEDY_CASES[case]
     q = LinearQ(KeyFeatures(n_actions, keys))
     for state, action, x, lr in ops:
@@ -484,10 +487,6 @@ def test_linear_masked_reads_match_the_scan(case, ops, bits, seed):
         assert_masked_reads_match_the_scan(q, state, bits, seed)
     for state in range(6):
         assert_masked_reads_match_the_scan(q, state, bits, seed)
-        values = q.row(state)
-        tied = tuple(a for a, v in enumerate(values) if v == max(values))
-        ids = {q.features.feature_ids(state)[a] for a in tied}
-        assert q.ties(state) == (tied if len(ids) == 1 else None)
 
 
 # -- rows -------------------------------------------------------------------

@@ -179,8 +179,9 @@ def test_targets_never_name_an_allowed_action(values, mask_bits, reward, termina
 
 
 def test_spotq_targets_fields_appear_together():
-    """Targets compare by value, expose each field (a tracer reads
-    masked_action off every result), and pair the masked fields."""
+    """Targets compare and hash by value, expose each field (a tracer reads
+    masked_action off every result), and leave both masked fields None
+    unless given."""
     fired = SpotQTargets(1.0, 0.5, 2)
     assert fired == SpotQTargets(1.0, masked_target=0.5, masked_action=2)
     assert hash(fired) == hash(SpotQTargets(1.0, 0.5, 2))
@@ -192,7 +193,3 @@ def test_spotq_targets_fields_appear_together():
     assert (fired.executed_target, fired.masked_target, fired.masked_action) == (1.0, 0.5, 2)
     assert SpotQTargets(0.75).masked_action is None
     assert SpotQTargets(0.75).masked_target is None
-    with pytest.raises(ValueError):
-        SpotQTargets(1.0, masked_target=0.5)
-    with pytest.raises(ValueError):
-        SpotQTargets(1.0, masked_action=2)

@@ -98,7 +98,7 @@ class BlockWorld:
             (atype, cell, -1 if direction is None else direction)
             for atype, cell, direction in map(self.decode, range(self.n_actions))
         )
-        # Per-cell list -> the pushed cell's entry of every push action.
+        # Per-cell sequence -> the pushed cell's entry of every push action.
         self._push_cells = itemgetter(*(cell for _, cell, _ in self._decoded[2 * self.n_cells:]))
         # Per-cell heights -> the target cell's height of every action.
         self._action_heights = itemgetter(*(cell for _, cell, _ in self._decoded))
@@ -113,6 +113,10 @@ class BlockWorld:
         # (held, tallest height, tallest is unique) -> per action, the
         # feature id of each target height; built on a signature's first use.
         self._feature_tables: dict[tuple[int, int, bool], list[list[int]]] = {}
+
+        # state -> its mask row; row -> the one interned copy of that row.
+        self._masks: dict[BlockState, tuple[bool, ...]] = {}
+        self._mask_rows: dict[tuple[bool, ...], tuple[bool, ...]] = {}
 
         self.stacks: list[list[int]] = [[] for _ in range(self.n_cells)]
         self.gripper: Optional[int] = None
@@ -296,13 +300,20 @@ class BlockWorld:
 
     def mask_for(self, state: BlockState) -> list[bool]:
         """Grasp and push need a free gripper and an occupied cell (for a
-        push, the pushed one); place needs a held block. A fresh list."""
-        held, heights = state
-        n = self.n_cells
-        if held:
-            return [False] * n + [True] * n + [False] * (4 * n)
-        occupied = [h > 0 for h in heights]
-        return [*occupied, *([False] * n), *self._push_cells(occupied)]
+        push, the pushed one); place needs a held block. Each state's row
+        is built once and kept as a tuple, equal rows interned as one (every
+        holding state shares a row); each call returns a fresh list of it."""
+        row = self._masks.get(state)
+        if row is None:
+            held, heights = state
+            n = self.n_cells
+            if held:
+                row = (False,) * n + (True,) * n + (False,) * (4 * n)
+            else:
+                occupied = tuple([h > 0 for h in heights])
+                row = occupied + (False,) * n + self._push_cells(occupied)
+            row = self._masks[state] = self._mask_rows.setdefault(row, row)
+        return list(row)
 
     # -- features ---------------------------------------------------------
 

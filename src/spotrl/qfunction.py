@@ -175,8 +175,10 @@ class LinearQ(QFunction):
     distinct state over the block world's 96 actions. A state read by
     ``best_value`` or ``ties`` also keeps its distinct ids, in
     order of first occurrence, and a getter over them: about 0.3 KB more.
-    Weights are never cached. A row is one gather from the flat list; ``best_value``
-    is the maximum of the distinct weights, the same float as the row's.
+    ``ties`` keeps, per state, the positions of each id it has found best
+    (about 0.3 KB more again), since they never change. Weights are never
+    cached. A row is one gather from the flat list; ``best_value`` is the
+    maximum of the distinct weights, the same float as the row's.
     """
 
     kind = "linear"
@@ -190,8 +192,9 @@ class LinearQ(QFunction):
         self._flat: list[float] = []
         # state -> its feature ids, by action id, for every state read.
         self._ids: dict[Hashable, tuple[int, ...]] = {}
-        # state -> (ids, distinct ids, getter of their weights), for every
-        # state best_value or ties read.
+        # state -> (ids, distinct ids, getter of their weights, {id: its
+        # positions in ids} for each id ties found best), for every state
+        # best_value or ties read.
         self._distinct: dict[Hashable, tuple] = {}
 
     def _featurized(self, state: Hashable) -> tuple[int, ...]:
@@ -209,7 +212,7 @@ class LinearQ(QFunction):
             get = itemgetter(*distinct)
             if len(distinct) == 1:  # itemgetter of one item returns it bare
                 get = lambda flat, one=get: (one(flat),)
-            entry = self._distinct[state] = (ids, distinct, get)
+            entry = self._distinct[state] = (ids, distinct, get, {})
         return entry
 
     def _grow(self) -> None:
@@ -230,13 +233,18 @@ class LinearQ(QFunction):
     def ties(self, state: Hashable) -> tuple[int, ...]:
         """The positions of the one id holding the best weight, since
         actions sharing an id share its weight; a row scan when several
-        ids hold it."""
-        ids, distinct, get = self._distinct_ids(state)
+        ids hold it. An id's positions in a state's ids never change, so
+        each is found the first time that id is best and kept."""
+        ids, distinct, get, positions = self._distinct_ids(state)
         weights = get(self._flat)
         best = max(weights)
         if weights.count(best) > 1:
             return QFunction.ties(self, state)
-        return _positions(ids, distinct[weights.index(best)])
+        i = distinct[weights.index(best)]
+        tied = positions.get(i)
+        if tied is None:
+            tied = positions[i] = _positions(ids, i)
+        return tied
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
         i = self._featurized(state)[action_id]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Callable, Optional
 
 from . import replay, seeding, spotq
@@ -137,7 +138,7 @@ def select_action(
     if rng.random() < epsilon:
         if mask is None:
             return rng.randrange(n_actions)
-        allowed = [a for a in range(n_actions) if mask[a]]
+        allowed = list(compress(range(n_actions), mask))
         if not allowed:
             raise spotq.EmptyActionSpaceError("empty dynamic action space")
         return allowed[rng.randrange(len(allowed))]

@@ -572,10 +572,11 @@ def test_feature_key_collapses_interchangeable_cells():
     assert env.feature_keys[env.feature_ids(tall)[3]] == ("grasp", 0, 2, 0, "empty", -1)
 
 
-def walk_states(task, seed, steps):
+def walk_states(task, seed, steps, text=None):
     """States met on a seeded random walk over allowed actions; a finished
-    trial resets to a fresh layout."""
-    env = BlockWorld(task=task)
+    trial resets to a fresh layout (to ``text``'s arrangement, when the
+    world is built from it)."""
+    env = BlockWorld(task=task) if text is None else world(text, task=task)
     rng = random.Random(seed)
     state = env.reset(seed)
     states = [state]
@@ -654,6 +655,33 @@ def test_mask_matches_the_per_action_oracle(task, seed, steps):
         assert all(type(ok) is bool for ok in mask)
         mask[:] = [None] * len(mask)
         assert env.mask_for(state) == block_mask(state, env.n_cells)
+
+
+def test_mask_memo_is_exact_and_fresh(monkeypatch):
+    """Walks on every task, from scattered and from_text starts, through
+    topples and resets: each visited state read twice gives the per-action
+    oracle's mask both times, changing a returned list leaves the next read
+    as it was, and equal rows are one interned tuple, so every holding
+    state shares a single row."""
+    calls = {"_topple": 0, "reset": 0}
+    for name in calls:
+        def counted(*args, _method=getattr(BlockWorld, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(BlockWorld, name, counted)
+    for task, text, seed in itertools.product(TASKS, (None, TWO_STACK), range(4)):
+        env, states = walk_states(task, seed, 80, text)
+        for state in states:
+            expected = block_mask(state, env.n_cells)
+            first = env.mask_for(state)
+            assert first == expected
+            first[:] = [not ok for ok in first]
+            assert env.mask_for(state) == expected
+        rows = list(env._masks.values())
+        assert len({id(row) for row in rows}) == len(set(rows))
+        held_rows = {id(env._masks[s]) for s in states if s[0]}
+        assert len(held_rows) == (task != "clear")
+    assert calls["_topple"] and calls["reset"] > len(TASKS) * 2 * 4
 
 
 def test_walks_cover_every_feature_case():

@@ -1044,6 +1044,16 @@ def test_the_runtime_imports_without_sortedcontainers():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_the_package_runs_as_a_module():
+    """``python -m spotrl`` is the CLI, as ``python -m spotrl.cli`` is."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "spotrl", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "train" in out.stdout
+
+
 def test_block_training_writes_the_same_artifacts_under_python_O(tmp_path):
     """A short block-world run writes byte-identical artifacts with asserts
     stripped (python -O) and without. The comparison runs in this process,

@@ -9,6 +9,7 @@ from spotrl import harness
 from spotrl.envs.blockworld import TASKS, BlockWorld
 from spotrl.qfunction import (
     LinearQ,
+    QFunction,
     TabularQ,
     dump_qfunction,
     parse_qdump,
@@ -403,6 +404,27 @@ def test_linear_greedy_matches_the_scan(case, ops, seed):
     for state in range(6):
         assert_greedy_matches_the_scan(q, state, seed)
         assert repr(q.best_value(state)) == repr(max(q.row(state)))
+
+
+# Three ids of one state, each at several positions, and none side by side.
+MOVING_KEYS = [("a",), ("b",), ("c",), ("a",), ("b",), ("a",), ("c",), ("b",)]
+MOVING_OPS = st.lists(st.tuples(st.integers(0, 7), st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0)),
+                                st.sampled_from((1.0, 0.5, None))), min_size=1, max_size=40)
+
+
+@given(ops=MOVING_OPS)
+def test_linear_ties_follow_the_best_id(ops):
+    """As updates and loads (-0.0 included) move the best weight from one
+    id of a state to another, and back, the kept positions are always those
+    of the id best now: ties equals the row scan after every step, several
+    ids tied included."""
+    q = LinearQ(KeyFeatures(len(MOVING_KEYS), lambda s: MOVING_KEYS))
+    for action, x, lr in ops:
+        if lr is None:
+            q.load_records([(repr(MOVING_KEYS[action]), -1, x)])
+        else:
+            q.update("s", action, x, lr)
+        assert q.ties("s") == QFunction.ties(q, "s")
 
 
 # -- masked picks and the policy flag -----------------------------------------

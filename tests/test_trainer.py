@@ -13,7 +13,7 @@ from spotrl.envs.blockworld import BlockWorld
 from spotrl.envs.gridworld import GridWorld
 from spotrl.qfunction import LinearQ, TabularQ
 from spotrl.rewards import ConfigError, RewardConfig, trial_backfill
-from spotrl.spotq import DisallowedActionError
+from spotrl.spotq import DisallowedActionError, EmptyActionSpaceError
 from spotrl.trainer import (
     TERMINATION_COMPLETE,
     TERMINATION_LAVA,
@@ -30,7 +30,7 @@ from spotrl.trainer import (
     termination_label,
 )
 
-from oracles import ChainEnv, CountingRandom, scan_pick
+from oracles import ChainEnv, CountingRandom, ForbiddenRandom, scan_pick
 
 CHAIN_WEIGHTS = {"back": 1.0, "forward": 1.0}
 GRID_WEIGHTS = {"forward": 1.0, "turn_left": 1.0, "turn_right": 1.0}
@@ -145,6 +145,22 @@ def test_select_action_all_true_mask_equals_no_mask(values, epsilon, seed):
         action = select_action(q, "s", mask, epsilon, rng, tie_rng, n)
         outcomes.append((action, rng.getstate(), tie_rng.getstate()))
     assert outcomes[0] == outcomes[1]
+
+
+@given(mask=st.lists(st.booleans(), min_size=96, max_size=96), seed=st.integers(0, 2**16))
+def test_select_action_explores_as_the_comprehension_did(mask, seed):
+    """With epsilon 1 the allowed set is listed by compress, and the pick
+    and every draw are those of the per-action comprehension it replaced."""
+    rng, old = random.Random(seed), random.Random(seed)
+    assert old.random() < 1.0  # the epsilon coin: explore
+    allowed = [a for a in range(96) if mask[a]]
+    if not allowed:
+        with pytest.raises(EmptyActionSpaceError):
+            select_action(TabularQ(96), "s", mask, 1.0, rng, ForbiddenRandom(), 96)
+        return
+    expected = allowed[old.randrange(len(allowed))]
+    assert select_action(TabularQ(96), "s", mask, 1.0, rng, ForbiddenRandom(), 96) == expected
+    assert rng.getstate() == old.getstate()
 
 
 def test_every_env_satisfies_the_env_protocol():

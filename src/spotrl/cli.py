@@ -1,8 +1,9 @@
 """Command-line front-end: ``spotrl train``, ``spotrl eval``, ``spotrl sweep``.
 
-All three read an optional flat ``key = value`` config file; explicit flags
-override file values. Exit codes: 0 success, 1 sweep with crashed cells,
-2 invalid configuration or arguments, 3 I/O failure.
+``train`` and ``sweep`` read an optional flat ``key = value`` config file;
+explicit flags override file values, and ``--set`` overrides both. Exit
+codes: 0 success, 1 sweep with crashed cells, 2 invalid configuration or
+arguments, 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ def _common_run_flags(p: argparse.ArgumentParser) -> None:
 
 def _merge_flags(args: argparse.Namespace, values: dict[str, str]) -> None:
     """Fold explicit flags over the config-file values (flags win)."""
-    for key in ("env", "task", "seed", "budget", "out"):
+    for key in ("env", "task", "seed", "budget", "out", "cell", "cells", "seeds", "workers"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = str(flag)
@@ -61,18 +62,6 @@ def _merge_flags(args: argparse.Namespace, values: dict[str, str]) -> None:
 def cli_train(args: argparse.Namespace) -> int:
     try:
         values = _load_config_file(args.config)
-        if args.mask is not None or args.spotq is not None or args.reward is not None:
-            use_mask, use_spotq, kind = harness.parse_cell(values.get("cell", "none+base"))
-            if args.mask is not None:
-                use_mask = args.mask
-            if args.spotq is not None:
-                use_spotq = args.spotq
-                use_mask = use_mask or args.spotq
-            if args.reward is not None:
-                kind = args.reward
-            values["cell"] = harness.cell_label(use_mask, use_spotq, kind)
-        if args.cell is not None:
-            values["cell"] = args.cell
         _merge_flags(args, values)
         rc = harness.resolve_run_config(values)
     except ConfigError as exc:
@@ -94,6 +83,11 @@ def cli_eval(args: argparse.Namespace) -> int:
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
+    out_path = Path(args.out) if args.out else harness.output_root() / "eval.json"
+    if out_path.suffix == ".csv":
+        print(f"error: --out {out_path} is where the trial CSV goes; "
+              "give the JSON another suffix", file=sys.stderr)
+        return EXIT_CONFIG
     model_path = Path(args.model)
     if not model_path.is_file():
         print(f"error: model file not found: {model_path}", file=sys.stderr)
@@ -109,27 +103,15 @@ def cli_eval(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     use_mask = args.mask if args.mask is not None else fields.get("cell", "").partition("+")[0] != "none"
-    if args.grid is not None and args.scenario is not None:
-        print("error: --grid and --scenario are mutually exclusive", file=sys.stderr)
-        return EXIT_CONFIG
     env_factory = rc.make_env
-    for flag, file_env in (("grid", "gridworld"), ("scenario", "blockworld")):
-        path = getattr(args, flag)
-        if path is None:
-            continue
-        if rc.environment != file_env:
-            print(f"error: --{flag} needs a {file_env} model, but {model_path} "
-                  f"holds a {rc.environment} one", file=sys.stderr)
-            return EXIT_CONFIG
+    if args.scenario is not None:
         try:
-            text = Path(path).read_text()
+            env = rc.make_env(Path(args.scenario).read_text())
         except OSError as exc:
-            print(f"error: cannot read {flag} file: {exc}", file=sys.stderr)
+            print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        try:
-            env = rc.make_env(text)
         except (ValueError, RuntimeError) as exc:
-            print(f"error: bad {flag} file: {exc}", file=sys.stderr)
+            print(f"error: bad scenario file: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         env_factory = lambda: env
 
@@ -146,7 +128,6 @@ def cli_eval(args: argparse.Namespace) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
 
-    out_path = Path(args.out) if args.out else harness.output_root() / "eval.json"
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         harness.write_json(out_path, payload)
@@ -161,13 +142,7 @@ def cli_eval(args: argparse.Namespace) -> int:
 def cli_sweep(args: argparse.Namespace) -> int:
     try:
         values = _load_config_file(args.config)
-        for key, flag in (("cells", args.cells), ("seeds", args.seeds),
-                          ("workers", args.workers)):
-            if flag is not None:
-                values[key] = str(flag)
         _merge_flags(args, values)
-        if "seed" in values:
-            raise ConfigError("sweeps take 'seeds' (a list), not 'seed'")
         spec = harness.resolve_experiment_spec(values)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -199,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_run_flags(p_train)
     p_train.add_argument("--seed", type=int, help="run seed")
     p_train.add_argument("--cell", help="cell token, e.g. spotq+progress")
-    p_train.add_argument("--mask", action=argparse.BooleanOptionalAction, default=None,
-                         help="mask certain-failure actions during selection")
-    p_train.add_argument("--spotq", action=argparse.BooleanOptionalAction, default=None,
-                         help="also train the masked zero-reward target (implies --mask)")
-    p_train.add_argument("--reward", help="reward kind (base, sr, progress, "
-                                          "trial_sr, trial_progress, discounted)")
     p_train.set_defaults(func=cli_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved Q-function")
@@ -213,10 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--mask", action=argparse.BooleanOptionalAction, default=None,
                         help="override the model's own masking setting")
-    p_eval.add_argument("--grid", metavar="FILE",
-                        help="replay a fixed serialized grid layout")
     p_eval.add_argument("--scenario", metavar="FILE",
-                        help="replay a fixed serialized block arrangement")
+                        help="replay a fixed start (the model env's to_text) on every trial")
     p_eval.add_argument("--out", help="where to write eval JSON (and CSV beside it)")
     p_eval.set_defaults(func=cli_eval)
 

@@ -521,6 +521,8 @@ class ExperimentSpec:
             raise ConfigError("a sweep needs at least two seeds (min/max reporting)")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds in sweep")
+        if len(set(self.cells)) != len(self.cells):
+            raise ConfigError("duplicate cells in sweep")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be at least 1 (or none: one per CPU)")
 
@@ -543,6 +545,8 @@ class ExperimentSpec:
 
 def resolve_experiment_spec(values: dict[str, str], base_out: Optional[str] = None) -> ExperimentSpec:
     """Build an ExperimentSpec from raw flat settings (file + flag merge)."""
+    if "seed" in values:
+        raise ConfigError("sweeps take 'seeds' (a list), not 'seed'")
     values = dict(values)
     env_name = values.pop("env", "gridworld")
     cells_raw = values.pop("cells", None)

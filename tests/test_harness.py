@@ -341,6 +341,10 @@ def test_experiment_spec_errors():
         harness.resolve_experiment_spec({**base, "seeds": "3"})  # min/max needs two
     with pytest.raises(ConfigError):
         harness.resolve_experiment_spec({**base, "seeds": "3 3"})
+    with pytest.raises(ConfigError):  # one output directory per cell
+        harness.resolve_experiment_spec({**base, "cells": "none+base,none"})
+    with pytest.raises(ConfigError):  # run_configs would overwrite it
+        harness.resolve_experiment_spec({**base, "seed": "3"})
     with pytest.raises(ConfigError):  # override typos fail before training
         harness.resolve_experiment_spec({**base, "bugdet": "5"})
     with pytest.raises(ConfigError):
@@ -606,12 +610,12 @@ def test_cli_train_flags_and_config_file(tmp_path, capsys):
                    "eval_trials = 3\nlog_steps = false\n")
     out = tmp_path / "run"
     code = main(["train", "--config", str(cfg), "--budget", "150",
-                 "--reward", "progress", "--spotq", "--seed", "2",
+                 "--cell", "spotq+progress", "--seed", "2",
                  "--out", str(out)])
     assert code == 0
     values = harness.parse_config_text((out / "config.txt").read_text())
     assert values["budget"] == "150"  # the flag beat the file
-    assert values["cell"] == "spotq+progress"  # --spotq implies the mask
+    assert values["cell"] == "spotq+progress"
     assert "run spotq+progress-s2" in capsys.readouterr().out
 
 
@@ -711,6 +715,18 @@ def test_cli_eval_writes_json_and_csv(trained_run, tmp_path, capsys):
     assert code == 0
     assert json.loads((tmp_path / "nm.json").read_text())["use_mask"] is False
     capsys.readouterr()
+
+
+def test_cli_eval_refuses_an_out_the_csv_would_overwrite(trained_run, tmp_path, capsys):
+    """The trial CSV goes beside the JSON under a .csv suffix, so an --out
+    that already ends in .csv exits 2 before anything is evaluated."""
+    _, run_dir, _ = trained_run
+    out = tmp_path / "res.csv"
+    code = main(["eval", "--model", str(run_dir / "qtable.txt"), "--trials", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {out}")
+    assert not out.exists()
 
 
 def test_cli_eval_fixed_scenario_replay(trained_run, tmp_path, capsys):
@@ -815,7 +831,7 @@ def test_cli_eval_fixed_grid_replay(trained_grid, tmp_path, capsys):
     outputs = []
     for name in ("a.json", "b.json"):
         code = main(["eval", "--model", str(trained_grid / "qtable.txt"),
-                     "--trials", "8", "--seed", "6", "--grid", str(grid),
+                     "--trials", "8", "--seed", "6", "--scenario", str(grid),
                      "--out", str(tmp_path / name)])
         assert code == 0
         capsys.readouterr()
@@ -823,21 +839,17 @@ def test_cli_eval_fixed_grid_replay(trained_grid, tmp_path, capsys):
     assert outputs[0] == outputs[1]
     assert outputs[0]["completion_rate"] == 1.0  # tiny open grid: mask walks in
 
-    code = main(["eval", "--model", str(trained_grid / "qtable.txt"),
-                 "--grid", str(grid), "--scenario", str(grid)])
-    assert code == 2  # mutually exclusive
-    capsys.readouterr()
-
 
 def test_cli_eval_grid_replays_the_file_layout(trained_grid, tmp_path, capsys):
-    """Every --grid trial starts on the file's layout: each CSV row holds
-    that layout's ideal count, not one of a generated 9x9 layout."""
+    """Every --scenario trial on a grid model starts on the file's layout:
+    each CSV row holds that layout's ideal count, not one of a generated
+    9x9 layout."""
     text = "#########\n#.......#\n#.^.L...#\n#...L..G#\n#########\n"
     grid = tmp_path / "grid.txt"
     grid.write_text(text)
     for mask in ("--mask", "--no-mask"):
         assert main(["eval", "--model", str(trained_grid / "qtable.txt"), "--trials", "6",
-                     mask, "--grid", str(grid), "--out", str(tmp_path / "eval.json")]) == 0
+                     mask, "--scenario", str(grid), "--out", str(tmp_path / "eval.json")]) == 0
         capsys.readouterr()
         _, rows = read_csv(tmp_path / "eval.csv")
         assert len(rows) == 6
@@ -845,46 +857,46 @@ def test_cli_eval_grid_replays_the_file_layout(trained_grid, tmp_path, capsys):
 
 
 def test_cli_eval_bad_start_files_exit_2(trained_run, trained_grid, tmp_path, capsys):
-    """A malformed --scenario or --grid file exits 2 with an error, not a
+    """A malformed --scenario file exits 2 with an error, not a
     traceback: a scenario that already completes the task or names too few
     blocks to complete it, and a grid with a second agent glyph and goal,
     count as malformed."""
     block_model = trained_run[1] / "qtable.txt"
-    cases = [("scenario", block_model, "cell 9 9: 0\ngripper: empty\n"),
-             ("scenario", block_model, "cell -1 0: 0\ngripper: empty\n"),
-             ("scenario", block_model, "cell 0 0: 0\ngripper: 0\n"),
-             ("scenario", block_model, "cell 0 0: 7\ngripper: empty\n"),
-             ("scenario", block_model, "cell 0 0: 0 1 2 3\ngripper: empty\n"),
-             ("scenario", block_model, "gripper: empty\n"),
-             ("grid", trained_grid / "qtable.txt", ">.G\n"),
-             ("grid", trained_grid / "qtable.txt", "#####\n#>>G#\n#G..#\n#####\n")]
-    for flag, model, text in cases:
+    cases = [(block_model, "cell 9 9: 0\ngripper: empty\n"),
+             (block_model, "cell -1 0: 0\ngripper: empty\n"),
+             (block_model, "cell 0 0: 0\ngripper: 0\n"),
+             (block_model, "cell 0 0: 7\ngripper: empty\n"),
+             (block_model, "cell 0 0: 0 1 2 3\ngripper: empty\n"),
+             (block_model, "gripper: empty\n"),
+             (trained_grid / "qtable.txt", ">.G\n"),
+             (trained_grid / "qtable.txt", "#####\n#>>G#\n#G..#\n#####\n")]
+    for model, text in cases:
         start = tmp_path / "start.txt"
         start.write_text(text)
         out = tmp_path / "eval.json"
-        code = main(["eval", "--model", str(model), f"--{flag}", str(start),
+        code = main(["eval", "--model", str(model), "--scenario", str(start),
                      "--out", str(out)])
         assert code == 2, text
-        assert capsys.readouterr().err.startswith(f"error: bad {flag} file")
+        assert capsys.readouterr().err.startswith("error: bad scenario file")
         assert not out.exists()
 
 
 def test_cli_eval_grid_needs_a_gridworld_model(trained_run, tmp_path, capsys):
-    """--grid with a block-world model exits 2 with an error, not a traceback."""
+    """A grid file with a block-world model exits 2 with an error, not a traceback."""
     _, run_dir, _ = trained_run
     grid = tmp_path / "grid.txt"
     grid.write_text("#####\n#>..#\n#..G#\n#####\n")
     out = tmp_path / "eval.json"
-    code = main(["eval", "--model", str(run_dir / "qtable.txt"), "--grid", str(grid),
+    code = main(["eval", "--model", str(run_dir / "qtable.txt"), "--scenario", str(grid),
                  "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --grid needs a gridworld model") and "blockworld" in err
+    assert err.startswith("error: bad scenario file: unparseable state line '#####'")
     assert not out.exists()
 
 
 def test_cli_eval_scenario_needs_a_blockworld_model(trained_grid, tmp_path, capsys):
-    """--scenario with a grid-world model exits 2 with an error, not a traceback."""
+    """A block scenario with a grid-world model exits 2 with an error, not a traceback."""
     env = BlockWorld(task="stack")
     env.reset(11)
     scenario = tmp_path / "scenario.txt"
@@ -894,7 +906,7 @@ def test_cli_eval_scenario_needs_a_blockworld_model(trained_grid, tmp_path, caps
                  "--scenario", str(scenario), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --scenario needs a blockworld model") and "gridworld" in err
+    assert err.startswith("error: bad scenario file: unknown cell character 'c'")
     assert not out.exists()
 
 
@@ -973,6 +985,44 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# file -> (env, task, cells, seeds, budget) of the reference ablations
+REFERENCE_SWEEPS = {
+    "gridworld_ablation.conf": ("gridworld", None, "spotq+progress,mask+base,none+base",
+                                (0, 1, 2, 3, 4), 200_000),
+    "blockworld_ablation.conf": ("blockworld", "stack",
+                                 "none+base,none+sr,spotq+progress,spotq+trial_progress",
+                                 (0, 1, 2), 20_000),
+}
+
+
+def test_every_shipped_config_is_checked():
+    assert sorted(p.name for p in CONFIG_DIR.glob("*.conf")) == sorted(REFERENCE_SWEEPS)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SWEEPS))
+def test_shipped_ablation_configs(name, tmp_path, capsys):
+    """Each shipped config names its ablation's reference cells, seeds and
+    budget, and runs as a sweep with small overrides."""
+    env, task, cells, seeds, budget = REFERENCE_SWEEPS[name]
+    path = CONFIG_DIR / name
+    spec = harness.resolve_experiment_spec(harness.parse_config_text(path.read_text()))
+    assert spec.environment == env
+    assert dict(spec.overrides).get("task") == task
+    assert ",".join(harness.cell_label(*cell) for cell in spec.cells) == cells
+    assert spec.seeds == seeds
+    assert {rc.budget for rc in spec.run_configs()} == {budget}
+
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--budget", "50", "--seeds", "0,1",
+                 "--workers", "1", "--set", "eval_trials=2", "--set", "validation_every=0",
+                 "--set", "log_steps=false", "--out", str(out)]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(out / "sweep.csv")
+    assert len(rows) == len(spec.cells)
 
 
 def test_a_parallel_sweep_writes_the_serial_table(tmp_path, capsys):

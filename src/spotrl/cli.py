@@ -102,7 +102,7 @@ def cli_eval(args: argparse.Namespace) -> int:
         print(f"error: cannot parse model file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    use_mask = args.mask if args.mask is not None else fields.get("cell", "").partition("+")[0] != "none"
+    use_mask = rc.use_mask if args.mask is None else args.mask
     env_factory = rc.make_env
     if args.scenario is not None:
         try:

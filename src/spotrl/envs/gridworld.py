@@ -92,7 +92,6 @@ class GridWorld:
         self.consecutive_turns = 0
         self.step_count = 0
         self.terminal = False
-        self.last_event: Optional[str] = None
         self._dist: dict[tuple[int, int], int] = {}
         self._layout_key: tuple[tuple, tuple] = ((), ())
         self._ideal = 0
@@ -134,7 +133,6 @@ class GridWorld:
         self.consecutive_turns = 0
         self.step_count = 0
         self.terminal = False
-        self.last_event = None
         return self.state()
 
     def _build_layout(self, gaps: tuple[int, ...]) -> Optional[tuple]:

@@ -301,21 +301,21 @@ _KEY_PARSERS: dict[str, Callable[[str], object]] = {
     f.name: _CONVERTERS[f.type] for f in dataclass_fields(RunConfig)
     if f.name not in _NON_KEY_FIELDS
 }
-# RunConfig fields a qtable.txt header records beside environment and cell.
-_HEADER_KEYS = ("seed", "task", "goal_size", "num_blocks")
+# RunConfig settings a qtable.txt header records beside environment.
+_HEADER_KEYS = ("cell", "seed", "task", "goal_size", "num_blocks")
 # AgentConfig fields that RunConfig holds under the same name.
 _AGENT_FIELDS = tuple(f.name for f in dataclass_fields(AgentConfig)
                       if f.name not in ("reward", "training_action_budget"))
 
 
-def resolve_run_config(values: dict[str, str], base_out: Optional[str] = None) -> RunConfig:
+def resolve_run_config(values: dict[str, str]) -> RunConfig:
     """Merge raw string settings over per-environment defaults.
 
     ``values`` maps config keys to unparsed strings (from a config file
     and/or command-line overrides, already merged with flags winning).
     Unknown keys, unknown environments/cells/tasks, unparseable values and
     values out of range (see RunConfig.__post_init__) raise ConfigError.
-    Without ``out`` (or ``base_out``) the run goes to ``output_root() / run_id``.
+    Without ``out`` the run goes to ``output_root() / run_id``.
     """
     values = dict(values)
     env_name = values.pop("env", "gridworld")
@@ -347,7 +347,7 @@ def resolve_run_config(values: dict[str, str], base_out: Optional[str] = None) -
     if reward_kind == "discounted" and "trial_discount" not in values:
         resolved["trial_discount"] = DISCOUNTED_KIND_TRIAL_DISCOUNT
 
-    out = resolved.pop("out", None) or base_out
+    out = resolved.pop("out", None)
     rc = RunConfig(
         environment=env_name,
         use_mask=use_mask,
@@ -481,7 +481,7 @@ def qdump_header(rc: RunConfig) -> dict[str, str]:
     """Header fields stored in qtable.txt so eval can rebuild the setup
     (header_run_config). Values must be single whitespace-free tokens (the
     header is one space-separated line)."""
-    header = {"environment": rc.environment, "cell": rc.cell}
+    header = {"environment": rc.environment}
     for key in _HEADER_KEYS:
         header[key] = str(getattr(rc, key))
     return header
@@ -543,7 +543,7 @@ class ExperimentSpec:
         return rcs
 
 
-def resolve_experiment_spec(values: dict[str, str], base_out: Optional[str] = None) -> ExperimentSpec:
+def resolve_experiment_spec(values: dict[str, str]) -> ExperimentSpec:
     """Build an ExperimentSpec from raw flat settings (file + flag merge)."""
     if "seed" in values:
         raise ConfigError("sweeps take 'seeds' (a list), not 'seed'")
@@ -555,7 +555,7 @@ def resolve_experiment_spec(values: dict[str, str], base_out: Optional[str] = No
     seeds_raw = values.pop("seeds", None)
     if seeds_raw is None:
         raise ConfigError("a sweep needs 'seeds'")
-    out = values.pop("out", None) or base_out or str(output_root() / "sweep")
+    out = values.pop("out", None) or str(output_root() / "sweep")
     cells = tuple(parse_cell(tok) for tok in _parse_str_list(cells_raw))
     try:
         seeds = tuple(_parse_int_list(seeds_raw))

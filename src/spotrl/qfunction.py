@@ -19,12 +19,12 @@ bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
 or featurized once per scan rather than once per action. ``ties(state)`` is
 the one argmax read: every action holding the state's best value, in
 ascending order, the same tuple a scan of the row lists. Greedy picks draw
-among it (``draw_tie``), masked picks filter it. ``LinearQ`` also keeps the
-feature ids of every state it has read, so a state is featurized once per
-Q-function, and a row is one gather from the flat weights; ``best_value``
-and ``ties`` read only the state's distinct ids (12-18 of the block world's
-96), because actions sharing an id share its weight. That memo grows with
-the distinct states visited.
+among it (``draw_tie``), masked picks filter it. ``LinearQ`` keeps one
+record per state it has read (its feature ids and their distinct subset),
+so a state is featurized once per Q-function, and a row is one gather from
+the flat weights; ``best_value`` and ``ties`` read only the state's
+distinct ids (12-18 of the block world's 96), because actions sharing an
+id share its weight. The records grow with the distinct states visited.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
 and return the value they blended from, the same float ``value()`` read
@@ -169,16 +169,14 @@ class LinearQ(QFunction):
     gives one per action, ``feature_keys[id]`` is an id's key, and
     ``feature_id(key)`` gives a key's id, assigning one on first sight.
     Weights live in a flat list indexed by id as ``0.0 + weight`` (a loaded
-    -0.0 reads 0.0); unseen weights read 0. Every state's ids are kept as
-    one tuple from its first read on, so ``feature_ids`` must be pure and
-    runs once per distinct state; the memo grows by about 0.8 KB per
-    distinct state over the block world's 96 actions. A state read by
-    ``best_value`` or ``ties`` also keeps its distinct ids, in
-    order of first occurrence, and a getter over them: about 0.3 KB more.
-    ``ties`` keeps, per state, the positions of each id it has found best
-    (about 0.3 KB more again), since they never change. Weights are never
-    cached. A row is one gather from the flat list; ``best_value`` is the
-    maximum of the distinct weights, the same float as the row's.
+    -0.0 reads 0.0); unseen weights read 0. Each state read gets one
+    record at its first read, kept from then on: its ids (one per action),
+    its distinct ids in order of first occurrence, a getter of their
+    weights and, filled as ``ties`` finds each id best, that id's positions
+    in the ids, which never change. So ``feature_ids`` must be pure and runs
+    once per distinct state. Weights are never cached. A row is one gather
+    from the flat list; ``best_value`` is the maximum of the distinct
+    weights, the same float as the row's.
     """
 
     kind = "linear"
@@ -190,29 +188,19 @@ class LinearQ(QFunction):
         self._raw: dict[int, float] = {}
         # _flat[id] is 0.0 + the id's weight; grown to len(feature_keys) lazily.
         self._flat: list[float] = []
-        # state -> its feature ids, by action id, for every state read.
-        self._ids: dict[Hashable, tuple[int, ...]] = {}
-        # state -> (ids, distinct ids, getter of their weights, {id: its
-        # positions in ids} for each id ties found best), for every state
-        # best_value or ties read.
-        self._distinct: dict[Hashable, tuple] = {}
+        # state -> (ids, distinct ids, their weights' getter, {id: positions}).
+        self._states: dict[Hashable, tuple] = {}
 
-    def _featurized(self, state: Hashable) -> tuple[int, ...]:
-        ids = self._ids.get(state)
-        if ids is None:
-            ids = self._ids[state] = tuple(self.features.feature_ids(state))
-            self._grow()
-        return ids
-
-    def _distinct_ids(self, state: Hashable) -> tuple:
-        entry = self._distinct.get(state)
+    def _entry(self, state: Hashable) -> tuple:
+        entry = self._states.get(state)
         if entry is None:
-            ids = self._featurized(state)
+            ids = tuple(self.features.feature_ids(state))
+            self._grow()
             distinct = tuple(dict.fromkeys(ids))
             get = itemgetter(*distinct)
             if len(distinct) == 1:  # itemgetter of one item returns it bare
                 get = lambda flat, one=get: (one(flat),)
-            entry = self._distinct[state] = (ids, distinct, get, {})
+            entry = self._states[state] = (ids, distinct, get, {})
         return entry
 
     def _grow(self) -> None:
@@ -222,20 +210,20 @@ class LinearQ(QFunction):
             self._flat.extend([0.0] * missing)
 
     def value(self, state: Hashable, action_id: int) -> float:
-        return self._flat[self._featurized(state)[action_id]]
+        return self._flat[self._entry(state)[0][action_id]]
 
     def row(self, state: Hashable) -> list[float]:
-        return list(itemgetter(*self._featurized(state))(self._flat))
+        return list(itemgetter(*self._entry(state)[0])(self._flat))
 
     def best_value(self, state: Hashable) -> float:
-        return max(self._distinct_ids(state)[2](self._flat))
+        return max(self._entry(state)[2](self._flat))
 
     def ties(self, state: Hashable) -> tuple[int, ...]:
         """The positions of the one id holding the best weight, since
         actions sharing an id share its weight; a row scan when several
         ids hold it. An id's positions in a state's ids never change, so
         each is found the first time that id is best and kept."""
-        ids, distinct, get, positions = self._distinct_ids(state)
+        ids, distinct, get, positions = self._entry(state)
         weights = get(self._flat)
         best = max(weights)
         if weights.count(best) > 1:
@@ -247,7 +235,7 @@ class LinearQ(QFunction):
         return tied
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
-        i = self._featurized(state)[action_id]
+        i = self._entry(state)[0][action_id]
         flat = self._flat
         old = flat[i]
         weight = self._raw[i] = self._raw.get(i, 0.0) + lr * (target - old)

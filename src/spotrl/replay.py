@@ -89,7 +89,6 @@ def surprise(e: Experience) -> float:
 class _Trial:
     ids: list[int]
     finalized: bool = False
-    completed: Optional[bool] = None
 
 
 class ReplayBuffer:
@@ -109,9 +108,9 @@ class ReplayBuffer:
 
         self._entries: dict[int, Experience] = {}
         self._next_id = 0
-        self._trials: dict[int, _Trial] = {}  # insertion-ordered
-        self._max_trial_seen: Optional[int] = None
-        self._min_live_trial: Optional[int] = None
+        # First key the oldest live trial, last the newest: ids arrive in
+        # increasing order, eviction pops the oldest and spares the newest.
+        self._trials: dict[int, _Trial] = {}
         self.last_pushed: Optional[Experience] = None
 
         # Sampling structures: (-surprise, id) tuples, so iteration order is
@@ -136,17 +135,14 @@ class ReplayBuffer:
 
     def push(self, e: Experience) -> int:
         """Append an experience; returns its buffer index."""
-        if self._max_trial_seen is not None and e.trial_id < self._max_trial_seen:
-            raise TrialOrderError(
-                f"trial_id {e.trial_id} precedes current trial {self._max_trial_seen}"
-            )
-        trial = self._trials.get(e.trial_id)
+        trials = self._trials
+        if trials:
+            newest = next(reversed(trials))
+            if e.trial_id < newest:
+                raise TrialOrderError(f"trial_id {e.trial_id} precedes current trial {newest}")
+        trial = trials.get(e.trial_id)
         if trial is None:
-            trial = _Trial(ids=[])
-            self._trials[e.trial_id] = trial
-            self._max_trial_seen = e.trial_id
-            if self._min_live_trial is None:
-                self._min_live_trial = e.trial_id
+            trial = trials[e.trial_id] = _Trial(ids=[])
         else:
             if trial.finalized:
                 raise TrialOrderError(f"trial {e.trial_id} is already finalized")
@@ -166,22 +162,21 @@ class ReplayBuffer:
         self._evict_over_capacity(keep_trial=e.trial_id)
         return idx
 
-    def finalize_trial(self, trial_id: int, completed: bool, cfg: Optional[RewardConfig] = None) -> None:
+    def finalize_trial(self, trial_id: int, completed: bool) -> None:
         """Backfill the trial-level reward for every step of a pushed trial.
 
         Idempotent for an already-finalized trial; a no-op for a trial the
         buffer has already evicted; unknown trial ids raise KeyError.
         """
-        cfg = cfg or self.cfg
         trial = self._trials.get(trial_id)
         if trial is None:
-            if self._min_live_trial is not None and trial_id < self._min_live_trial:
+            if self._trials and trial_id < next(iter(self._trials)):
                 return  # already evicted
             raise KeyError(f"unknown trial id {trial_id}")
         if trial.finalized:
             return
         instants = [self._entries[i].instant_reward for i in trial.ids]
-        filled = rewards.backfill(instants, completed, cfg)
+        filled = rewards.backfill(instants, completed, self.cfg)
         trial_kind = self.cfg.uses_trial_reward
         for idx, value in zip(trial.ids, filled):
             e = self._entries[idx]
@@ -193,7 +188,6 @@ class ReplayBuffer:
                 self._rank_remove(idx, before)
                 self._rank_insert(idx)
         trial.finalized = True
-        trial.completed = completed
 
     # -- sampling ---------------------------------------------------------
 
@@ -262,7 +256,6 @@ class ReplayBuffer:
                 if ranked:
                     self._rank_remove(idx)
                 del self._entries[idx]
-            self._min_live_trial = next(iter(self._trials), None)
 
 
 def apply_update(

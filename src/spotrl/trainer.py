@@ -87,10 +87,6 @@ class AgentConfig:
         if not 0.0 <= self.type_filter_prob <= 1.0:
             raise ConfigError("type_filter_prob must be in [0, 1]")
 
-    @property
-    def reward_kind(self) -> str:
-        return self.reward.reward_kind
-
     def epsilon_at(self, action_count: int) -> float:
         decay = self.epsilon_decay_steps
         if decay is None:

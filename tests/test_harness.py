@@ -950,6 +950,20 @@ def test_cli_eval_rejects_a_malformed_model(model, fault, request, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["bogus+base", "mask+bogus", "none+mask+base"])
+def test_cli_eval_rejects_a_bad_header_cell(cell, trained_grid, tmp_path, capsys):
+    """The header's cell is read with the one cell grammar (parse_cell), so
+    a token it rejects exits 2 instead of evaluating under a mask guessed
+    from the token's first part."""
+    bad = tmp_path / "qtable.txt"
+    bad.write_text(header_with((trained_grid / "qtable.txt").read_text(),
+                               "cell=mask+base", f"cell={cell}"))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--model", str(bad), "--trials", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: model header: ")
+    assert not out.exists()
+
+
 def test_cli_sweep_end_to_end(tmp_path, capsys):
     """A tiny two-cell sweep writes per-run artifacts, per-cell summaries,
     and the combined table — and reruns reproduce the table byte-for-byte."""

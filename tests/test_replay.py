@@ -122,12 +122,13 @@ def test_finalize_unknown_trial_raises():
 
 
 def test_finalize_accepts_config_override():
-    """An explicit reward config reroutes the backfill (here: terminal-only
-    discounting instead of run-based propagation)."""
-    buf = ReplayBuffer(cfg("trial_progress"))
+    """The buffer's own reward config routes the backfill (here: terminal-only
+    discounting instead of run-based propagation), so a trial is backfilled
+    under the kind it is ranked by."""
+    buf = ReplayBuffer(cfg("discounted", trial_discount=0.9))
     for i, instant in enumerate([1.0, 0.0, 1.0]):
         buf.push(exp(i, instant=instant, step=i, terminal=i == 2))
-    buf.finalize_trial(0, True, cfg("discounted", trial_discount=0.9))
+    buf.finalize_trial(0, True)
     assert [buf.get(i).trial_reward for i in range(3)] == [0.81, 0.9, 1.0]
 
 
@@ -262,6 +263,33 @@ def test_eviction_spares_the_trial_being_written():
     buf.push(exp(4, trial=1, step=0))  # now trial 0 is evictable
     assert len(buf) == 1
     assert buf.get(4).trial_id == 1
+
+
+def test_trial_order_holds_after_evictions():
+    """Once the oldest trials are evicted, the newest live trial still bounds
+    pushes and the oldest live one bounds finalizes: no push goes below the
+    newest trial, a finalize below the oldest is a no-op, and a finalize of
+    a never-pushed trial above it raises KeyError."""
+    buf = ReplayBuffer(cfg(), capacity=2)
+    for i, trial in enumerate([0, 1, 3, 5]):
+        buf.push(exp(i, trial=trial))  # evicts trials 0 and 1
+    assert [buf.get(i).trial_id for i in (2, 3)] == [3, 5]
+    for trial in (0, 1, 3, 4):
+        with pytest.raises(TrialOrderError, match="precedes current trial 5"):
+            buf.push(exp(9, trial=trial, step=1))
+    for trial in (0, 1, 2):
+        buf.finalize_trial(trial, True)  # below trial 3: evicted, no-op
+    assert [buf.get(i).trial_reward for i in (2, 3)] == [None, None]
+    for trial in (4, 6):
+        with pytest.raises(KeyError):
+            buf.finalize_trial(trial, True)
+    buf.push(exp(4, trial=5, step=1))  # evicts trial 3
+    buf.finalize_trial(4, True)  # now below the oldest live trial
+    with pytest.raises(TrialOrderError, match="precedes current trial 5"):
+        buf.push(exp(5, trial=4))
+    buf.finalize_trial(5, True)
+    assert None not in [buf.get(i).trial_reward for i in (3, 4)]
+    assert len(buf) == 2 and buf.eligible == 2
 
 
 def test_evicting_an_unfinalized_trial_under_a_trial_kind():

@@ -29,16 +29,19 @@ BlockState = tuple  # (held flag, per-cell heights)
 def check_settings(task: str, goal_size: int, num_blocks: int,
                    width: int = BOARD_SIDE, height: int = BOARD_SIDE) -> None:
     """Raise ValueError for settings whose every trial is unrunnable or
-    unwinnable: an unknown task, no blocks, more blocks than board cells,
-    a stack or row goal outside 2..num_blocks (a goal of 1 holds at every
-    start, so reset never ends), a row longer than the board's longest line,
-    or more row-task blocks than ``max_row_free_singletons`` (every scatter
-    would already hold the row, so reset never ends)."""
+    unwinnable: an unknown task, no blocks, a full board (at most
+    ``width * height - 1`` blocks leave every toppled stack enough free
+    cells to scatter onto), a stack or row goal outside 2..num_blocks (a
+    goal of 1 holds at every start, so reset never ends), a row longer than
+    the board's longest line, or more row-task blocks than
+    ``max_row_free_singletons`` (every scatter would already hold the row,
+    so reset never ends)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r} (expected one of {TASKS})")
-    if not 1 <= num_blocks <= width * height:
-        raise ValueError(f"num_blocks must be from 1 to the {width}x{height} board's "
-                         f"{width * height} cells, not {num_blocks}")
+    if not 1 <= num_blocks < width * height:
+        raise ValueError(f"num_blocks must be from 1 to {width * height - 1}, one fewer than "
+                         f"the {width}x{height} board's cells (a topple scatters onto free "
+                         f"cells), not {num_blocks}")
     if task == "clear":
         return
     if not 2 <= goal_size <= num_blocks:

@@ -503,52 +503,23 @@ def load_qdump(path: Path) -> tuple[QFunction, dict[str, str]]:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """An ablation sweep: every cell run on every seed."""
+    """An ablation sweep as its resolved runs: one RunConfig per cell and
+    seed, cell-major, each writing under ``<out>/<cell>/seed_<seed>``.
+    ``workers`` is the process count (None: one per CPU)."""
 
-    environment: str
-    cells: tuple[tuple[bool, bool, str], ...]
-    seeds: tuple[int, ...]
+    runs: tuple[RunConfig, ...]
     out: str
     workers: Optional[int] = None
-    overrides: tuple[tuple[str, str], ...] = ()  # raw config overrides
-
-    def __post_init__(self):
-        if self.environment not in ENVIRONMENTS:
-            raise ConfigError(f"unknown environment {self.environment!r}")
-        if not self.cells:
-            raise ConfigError("a sweep needs at least one cell")
-        if len(self.seeds) < 2:
-            raise ConfigError("a sweep needs at least two seeds (min/max reporting)")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("duplicate seeds in sweep")
-        if len(set(self.cells)) != len(self.cells):
-            raise ConfigError("duplicate cells in sweep")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be at least 1 (or none: one per CPU)")
-
-    def run_configs(self) -> list[RunConfig]:
-        out_root = Path(self.out)
-        rcs = []
-        for use_mask, use_spotq, kind in self.cells:
-            label = cell_label(use_mask, use_spotq, kind)
-            for seed in self.seeds:
-                values = dict(self.overrides)
-                values.update({
-                    "env": self.environment,
-                    "cell": label,
-                    "seed": str(seed),
-                    "out": str(out_root / label / f"seed_{seed}"),
-                })
-                rcs.append(resolve_run_config(values))
-        return rcs
 
 
 def resolve_experiment_spec(values: dict[str, str]) -> ExperimentSpec:
-    """Build an ExperimentSpec from raw flat settings (file + flag merge)."""
-    if "seed" in values:
-        raise ConfigError("sweeps take 'seeds' (a list), not 'seed'")
+    """Resolve raw flat settings (file + flag merge) into a sweep's runs.
+    Every key but ``cells``, ``seeds``, ``workers`` and ``out`` is a run
+    setting shared by every cell×seed; ``cell`` and ``seed`` are rejected."""
+    for key in ("cell", "seed"):
+        if key in values:
+            raise ConfigError(f"sweeps take '{key}s' (a list), not '{key}'")
     values = dict(values)
-    env_name = values.pop("env", "gridworld")
     cells_raw = values.pop("cells", None)
     if cells_raw is None:
         raise ConfigError("a sweep needs 'cells'")
@@ -556,29 +527,33 @@ def resolve_experiment_spec(values: dict[str, str]) -> ExperimentSpec:
     if seeds_raw is None:
         raise ConfigError("a sweep needs 'seeds'")
     out = values.pop("out", None) or str(output_root() / "sweep")
-    cells = tuple(parse_cell(tok) for tok in _parse_str_list(cells_raw))
+    cells = [cell_label(*parse_cell(tok)) for tok in _parse_str_list(cells_raw)]
     try:
-        seeds = tuple(_parse_int_list(seeds_raw))
+        seeds = _parse_int_list(seeds_raw)
         workers = _parse_optional_int(values.pop("workers", "none"))
     except ValueError as exc:
         raise ConfigError(f"bad sweep setting: {exc}") from None
-    # Remaining keys are per-run overrides shared by every cell; validate
-    # them now so a typo fails before any training starts.
-    resolve_run_config({**values, "env": env_name})
-    return ExperimentSpec(
-        environment=env_name,
-        cells=cells,
-        seeds=seeds,
-        out=str(out),
-        workers=workers,
-        overrides=tuple(sorted(values.items())),
-    )
+    if not cells:
+        raise ConfigError("a sweep needs at least one cell")
+    if len(seeds) < 2:
+        raise ConfigError("a sweep needs at least two seeds (min/max reporting)")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("duplicate seeds in sweep")
+    if len(set(cells)) != len(cells):
+        raise ConfigError("duplicate cells in sweep")
+    if workers is not None and workers < 1:
+        raise ConfigError("workers must be at least 1 (or none: one per CPU)")
+    runs = tuple(
+        resolve_run_config({**values, "cell": cell, "seed": str(seed),
+                            "out": str(Path(out) / cell / f"seed_{seed}")})
+        for cell in cells for seed in seeds)
+    return ExperimentSpec(runs, out, workers)
 
 
-def _run_single_safe(rc: RunConfig) -> tuple[str, int, dict | str]:
+def _run_single_safe(rc: RunConfig) -> dict | str:
     """Pool worker: never raises; failures come back as formatted tracebacks."""
     try:
-        return (rc.cell, rc.seed, run_single(rc))
+        return run_single(rc)
     except Exception:
         tb = traceback.format_exc()
         try:
@@ -587,7 +562,7 @@ def _run_single_safe(rc: RunConfig) -> tuple[str, int, dict | str]:
             (run_dir / "error.txt").write_text(tb)
         except OSError:
             pass
-        return (rc.cell, rc.seed, tb)
+        return tb
 
 
 def _min_max(values: list[float]) -> tuple[Optional[float], Optional[float]]:
@@ -596,15 +571,15 @@ def _min_max(values: list[float]) -> tuple[Optional[float], Optional[float]]:
     return min(values), max(values)
 
 
-def summarize_cell(label: str, cell_def: tuple[bool, bool, str], seeds: tuple[int, ...],
-                   results: dict[int, dict], failures: dict[int, str]) -> dict:
+def summarize_cell(label: str, seeds: list[int], results: dict[int, dict],
+                   failures: dict[int, str]) -> dict:
     """Min/max metrics across a cell's seeds.
 
     ``convergence_actions_min``/``_max`` range over the seeds that converged
     and are null when none did; failed seeds are excluded from every metric
     and listed under ``failures``.
     """
-    use_mask, use_spotq, kind = cell_def
+    use_mask, use_spotq, kind = parse_cell(label)
     comp = [results[s]["completion_rate"] for s in seeds if s in results]
     eff = [results[s]["mean_efficiency"] for s in seeds if s in results]
     conv = [results[s]["convergence_actions"] for s in seeds
@@ -693,30 +668,26 @@ def run_sweep(spec: ExperimentSpec) -> tuple[int, list[dict]]:
     """
     out_root = Path(spec.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    rcs = spec.run_configs()
-    workers = min(len(rcs), spec.workers or os.cpu_count() or 1)
-    if workers > 1 and len(rcs) > 1:
+    workers = min(len(spec.runs), spec.workers or os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: multiprocessing adds ~15 ms to importing this module.
         from multiprocessing import get_context
 
         with get_context("fork").Pool(workers) as pool:
-            outcomes = pool.map(_run_single_safe, rcs)
+            outcomes = pool.map(_run_single_safe, spec.runs)
     else:
-        outcomes = [_run_single_safe(rc) for rc in rcs]
+        outcomes = [_run_single_safe(rc) for rc in spec.runs]
 
-    by_cell: dict[str, dict[int, dict]] = {}
-    failures_by_cell: dict[str, dict[int, str]] = {}
-    for label, seed, outcome in outcomes:
-        if isinstance(outcome, dict):
-            by_cell.setdefault(label, {})[seed] = outcome
-        else:
-            failures_by_cell.setdefault(label, {})[seed] = outcome
+    # cell -> (seeds, results by seed, failures by seed), in run order
+    cells: dict[str, tuple[list[int], dict[int, dict], dict[int, str]]] = {}
+    for rc, outcome in zip(spec.runs, outcomes):
+        seeds, results, failures = cells.setdefault(rc.cell, ([], {}, {}))
+        seeds.append(rc.seed)
+        (results if isinstance(outcome, dict) else failures)[rc.seed] = outcome
 
     cell_summaries = []
-    for cell_def in spec.cells:
-        label = cell_label(*cell_def)
-        cs = summarize_cell(label, cell_def, spec.seeds,
-                            by_cell.get(label, {}), failures_by_cell.get(label, {}))
+    for label, (seeds, results, failures) in cells.items():
+        cs = summarize_cell(label, seeds, results, failures)
         (out_root / label).mkdir(parents=True, exist_ok=True)
         write_json(out_root / label / "summary.json", cs)
         cell_summaries.append(cs)
@@ -724,5 +695,4 @@ def run_sweep(spec: ExperimentSpec) -> tuple[int, list[dict]]:
     rows = sweep_table_rows(cell_summaries)
     write_csv(out_root / "sweep.csv", SWEEP_COLUMNS, rows)
     (out_root / "sweep.txt").write_text(format_aligned(SWEEP_COLUMNS, rows))
-    n_failed = sum(len(f) for f in failures_by_cell.values())
-    return n_failed, cell_summaries
+    return sum(isinstance(o, str) for o in outcomes), cell_summaries

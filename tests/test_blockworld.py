@@ -319,6 +319,24 @@ def test_topple_scatters_to_nearest_free_cells():
     assert env.stacks[0] == []
 
 
+def test_a_full_board_is_refused_and_one_free_cell_always_scatters():
+    """A toppled stack scatters onto free cells, so 16 blocks on the 4x4
+    board are refused for every task; with 15, a toppled stack of k always
+    finds its k free cells (k + 1 with a held block), so no walk raises."""
+    for task in TASKS:
+        with pytest.raises(ValueError, match="num_blocks must be from 1 to 15"):
+            BlockWorld(task=task, num_blocks=16)
+    for seed in range(4):
+        env = BlockWorld(task="stack", num_blocks=15)
+        rng = random.Random(seed)
+        state = env.reset(rng.randrange(2 ** 31))
+        for _ in range(2000):
+            allowed = [a for a, ok in enumerate(env.mask_for(state)) if ok]
+            state, _, _ = env.step(rng.choice(allowed))
+            if env.terminal:
+                state = env.reset(rng.randrange(2 ** 31))
+
+
 # -- termination ------------------------------------------------------------
 
 

@@ -319,16 +319,14 @@ def test_resolve_experiment_spec():
         "env": "blockworld", "cells": "none+base, spotq+sr", "seeds": "0 1",
         "budget": "500", "out": "x",
     })
-    assert spec.cells == ((False, False, "base"), (True, True, "sr"))
-    assert spec.seeds == (0, 1)
-    assert dict(spec.overrides) == {"budget": "500"}
-    rcs = spec.run_configs()
-    assert len(rcs) == 4
-    assert {rc.out for rc in rcs} == {
+    assert [(rc.cell, rc.seed) for rc in spec.runs] == [
+        ("none+base", 0), ("none+base", 1), ("spotq+sr", 0), ("spotq+sr", 1)]
+    assert [rc.out for rc in spec.runs] == [
         str(Path("x") / cell / f"seed_{s}")
         for cell in ("none+base", "spotq+sr") for s in (0, 1)
-    }
-    assert all(rc.budget == 500 for rc in rcs)
+    ]
+    assert all(rc.budget == 500 and rc.environment == "blockworld" for rc in spec.runs)
+    assert (spec.out, spec.workers) == ("x", None)
 
 
 def test_experiment_spec_errors():
@@ -343,8 +341,9 @@ def test_experiment_spec_errors():
         harness.resolve_experiment_spec({**base, "seeds": "3 3"})
     with pytest.raises(ConfigError):  # one output directory per cell
         harness.resolve_experiment_spec({**base, "cells": "none+base,none"})
-    with pytest.raises(ConfigError):  # run_configs would overwrite it
-        harness.resolve_experiment_spec({**base, "seed": "3"})
+    for key, value in (("seed", "3"), ("cell", "spotq+sr")):  # the sweep sets both
+        with pytest.raises(ConfigError, match=f"not '{key}'"):
+            harness.resolve_experiment_spec({**base, key: value})
     with pytest.raises(ConfigError):  # override typos fail before training
         harness.resolve_experiment_spec({**base, "bugdet": "5"})
     with pytest.raises(ConfigError):
@@ -359,7 +358,7 @@ def test_summarize_cell_and_table_cells():
         0: {"completion_rate": 0.5, "mean_efficiency": 0.2, "convergence_actions": 2000},
         1: {"completion_rate": 1.0, "mean_efficiency": 0.4, "convergence_actions": None},
     }
-    cs = harness.summarize_cell("mask+sr", (True, False, "sr"), (0, 1), results, {})
+    cs = harness.summarize_cell("mask+sr", [0, 1], results, {})
     assert (cs["completion_rate_min"], cs["completion_rate_max"]) == (0.5, 1.0)
     assert (cs["efficiency_min"], cs["efficiency_max"]) == (0.2, 0.4)
     assert (cs["convergence_actions_min"], cs["convergence_actions_max"]) == (2000, 2000)
@@ -367,7 +366,7 @@ def test_summarize_cell_and_table_cells():
     (row,) = harness.sweep_table_rows([cs])
     assert row == ("no", "yes", "sr", "50.0-100.0", "20.0-40.0", "2000-none")
 
-    crashed = harness.summarize_cell("none+base", (False, False, "base"), (0, 1),
+    crashed = harness.summarize_cell("none+base", [0, 1],
                                      {}, {0: "boom\nValueError: x", 1: "t\nE: y"})
     assert crashed["completion_rate_min"] is None
     assert crashed["failures"] == {"0": "ValueError: x", "1": "E: y"}
@@ -640,6 +639,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert main(["sweep", "--cells", "none+base,none+base", "--seeds", "0,1",
                  "--set", "seed=3", "--out", str(tmp_path)]) == 2
+    assert main(["sweep", "--env", "blockworld", "--cells", "none+base", "--seeds", "0,1",
+                 "--set", "cell=spotq+sr", "--out", str(tmp_path / "cell")]) == 2
+    assert not (tmp_path / "cell").exists()
     capsys.readouterr()
 
 
@@ -672,6 +674,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     ("task=clear", "num_blocks=0"),
     ("action_limit=0",),
     ("budget=-5",),
+    ("num_blocks=16",),
 ])
 def test_cli_rejects_settings_no_run_can_use(settings, tmp_path, capsys):
     """A setting that would crash training, or run it to a meaningless
@@ -1024,11 +1027,10 @@ def test_shipped_ablation_configs(name, tmp_path, capsys):
     env, task, cells, seeds, budget = REFERENCE_SWEEPS[name]
     path = CONFIG_DIR / name
     spec = harness.resolve_experiment_spec(harness.parse_config_text(path.read_text()))
-    assert spec.environment == env
-    assert dict(spec.overrides).get("task") == task
-    assert ",".join(harness.cell_label(*cell) for cell in spec.cells) == cells
-    assert spec.seeds == seeds
-    assert {rc.budget for rc in spec.run_configs()} == {budget}
+    assert [(rc.cell, rc.seed) for rc in spec.runs] == [
+        (cell, seed) for cell in cells.split(",") for seed in seeds]
+    assert {(rc.environment, rc.task if rc.environment == "blockworld" else None, rc.budget)
+            for rc in spec.runs} == {(env, task, budget)}
 
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(path), "--budget", "50", "--seeds", "0,1",
@@ -1036,7 +1038,9 @@ def test_shipped_ablation_configs(name, tmp_path, capsys):
                  "--set", "log_steps=false", "--out", str(out)]) == 0
     capsys.readouterr()
     _, rows = read_csv(out / "sweep.csv")
-    assert len(rows) == len(spec.cells)
+    assert [row[:3] for row in rows] == [
+        ["yes" if use_spotq else "no", "yes" if use_mask else "no", kind]
+        for use_mask, use_spotq, kind in map(harness.parse_cell, cells.split(","))]
 
 
 def test_a_parallel_sweep_writes_the_serial_table(tmp_path, capsys):
@@ -1049,6 +1053,33 @@ def test_a_parallel_sweep_writes_the_serial_table(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "1" / "sweep.csv").read_bytes() == \
         (tmp_path / "2" / "sweep.csv").read_bytes()
+
+
+def test_each_sweep_run_is_the_train_run_of_its_cell_and_seed(tmp_path, capsys):
+    """A sweep is its runs: each run directory it writes holds, byte for
+    byte, what `spotrl train` writes for the same cell, seed and settings,
+    except for the out line of config.txt."""
+    def lines(path):
+        rows = path.read_bytes().splitlines(keepends=True)
+        return [r for r in rows if not r.startswith(b"out = ")] \
+            if path.name == "config.txt" else rows
+
+    cells, seeds = ("none+sr", "spotq+progress"), (0, 1)
+    settings = ["--env", "blockworld", "--budget", "120", "--set", "eval_trials=3",
+                "--set", "validation_every=40", "--set", "validation_trials=2"]
+    assert main(["sweep", "--cells", ",".join(cells), "--seeds", "0,1", "--workers", "1",
+                 "--out", str(tmp_path / "sweep")] + settings) == 0
+    for cell, seed in itertools.product(cells, seeds):
+        trained = tmp_path / "train" / f"{cell}-s{seed}"
+        assert main(["train", "--cell", cell, "--seed", str(seed), "--out", str(trained)]
+                    + settings) == 0
+        swept = tmp_path / "sweep" / cell / f"seed_{seed}"
+        names = sorted(p.name for p in trained.iterdir())
+        assert sorted(p.name for p in swept.iterdir()) == names
+        assert "config.txt" in names and "steps.csv" in names
+        for name in names:
+            assert lines(swept / name) == lines(trained / name), (cell, seed, name)
+    capsys.readouterr()
 
 
 def test_a_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch, capsys):

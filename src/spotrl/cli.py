@@ -148,7 +148,7 @@ def cli_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        n_failed, cell_summaries = harness.run_sweep(spec)
+        crashes, cell_summaries = harness.run_sweep(spec)
     except OSError as exc:
         print(f"error: cannot write sweep artifacts: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -156,9 +156,14 @@ def cli_sweep(args: argparse.Namespace) -> int:
                                    harness.sweep_table_rows(cell_summaries))
     print(table, end="")
     print(f"artifacts: {spec.out}")
-    if n_failed:
-        print(f"error: {n_failed} run(s) crashed; see error.txt under {spec.out}",
-              file=sys.stderr)
+    for rc, tb, written in crashes:
+        if written:
+            print(f"error: run {rc.out} crashed; see {Path(rc.out) / 'error.txt'}",
+                  file=sys.stderr)
+        else:
+            print(f"error: run {rc.out} crashed and its error.txt could not be written:\n"
+                  f"{tb}", end="", file=sys.stderr)
+    if crashes:
         return EXIT_FAILED_CELLS
     return EXIT_OK
 

@@ -20,6 +20,8 @@ class Env(Protocol):
     event), where the event names an early end such as ``"lava"`` or is None.
     ``mask_for`` is False for each action that would certainly fail, and
     depends on the state alone (greedy probes keep one pick per state).
+    Both environments return one object for all equal states, so a long
+    replay holds each distinct state once; correctness never rests on it.
     """
 
     n_actions: int

@@ -117,6 +117,8 @@ class BlockWorld:
         # feature id of each target height; built on a signature's first use.
         self._feature_tables: dict[tuple[int, int, bool], list[list[int]]] = {}
 
+        # state -> the one tuple state() returns for every equal state.
+        self._states: dict[BlockState, BlockState] = {}
         # state -> its mask row; row -> the one interned copy of that row.
         self._masks: dict[BlockState, tuple[bool, ...]] = {}
         self._mask_rows: dict[tuple[bool, ...], tuple[bool, ...]] = {}
@@ -174,8 +176,10 @@ class BlockWorld:
         return self.state()
 
     def state(self) -> BlockState:
-        heights = tuple(map(len, self.stacks))
-        return (0 if self.gripper is None else 1, heights)
+        """(held flag, per-cell heights). Equal states are one object: the
+        first tuple built for a state is kept and returned from then on."""
+        state = (0 if self.gripper is None else 1, tuple(map(len, self.stacks)))
+        return self._states.setdefault(state, state)
 
     # -- progress ---------------------------------------------------------
 
@@ -212,7 +216,9 @@ class BlockWorld:
         """Returns (state, outcome, event); the event is always None here."""
         if self.terminal:
             raise RuntimeError("step on a terminal environment")
-        atype, cell, direction = self.decode(action)
+        if not 0 <= action < self.n_actions:  # a negative index would wrap
+            raise ValueError(f"unknown action {action}")
+        atype, cell, direction = self._decoded[action]
         before = self.progress()
         stack = self.stacks[cell]
         success = False
@@ -256,14 +262,7 @@ class BlockWorld:
         task_complete = after >= 1.0
         self.step_count += 1
         self.terminal = task_complete or self.step_count >= self.action_limit
-        outcome = StepOutcome(
-            action_type=atype,
-            success=success,
-            progress_before=before,
-            progress_after=after,
-            terminal=self.terminal,
-            task_complete=task_complete,
-        )
+        outcome = StepOutcome(atype, success, before, after, self.terminal, task_complete)
         return self.state(), outcome, None
 
     def _topple(self, cell: int, extra: Optional[int] = None) -> None:

@@ -103,6 +103,8 @@ class GridWorld:
         # layout key -> frozenset of the (x, y, heading) poses whose forward
         # move it blocks, built on a key's first mask_for.
         self._blocked: dict[tuple[tuple, tuple], frozenset] = {}
+        # state -> the one tuple state() returns for every equal state.
+        self._states: dict[GridState, GridState] = {}
 
     # -- layout -----------------------------------------------------------
 
@@ -218,8 +220,11 @@ class GridWorld:
         """Agent pose plus a canonical key for everything observable in the
         layout (interior walls and lava cells). The whole grid is part of
         the state, so values learned under one layout never bleed into
-        another, and masks can be recomputed from a stored state alone."""
-        return (self.agent_x, self.agent_y, self.heading, self._layout_key)
+        another, and masks can be recomputed from a stored state alone.
+        Equal states are one object: the first tuple built for a state is
+        kept and returned from then on."""
+        state = (self.agent_x, self.agent_y, self.heading, self._layout_key)
+        return self._states.setdefault(state, state)
 
     # -- dynamics ---------------------------------------------------------
 
@@ -261,14 +266,8 @@ class GridWorld:
         # A step into lava leaves progress pinned at its pre-step value:
         # there is no distance defined on a lava cell.
         after = before if event == "lava" else self.progress()
-        outcome = StepOutcome(
-            action_type=ACTION_TYPES[action],
-            success=after > before,
-            progress_before=before,
-            progress_after=after,
-            terminal=self.terminal,
-            task_complete=task_complete,
-        )
+        outcome = StepOutcome(ACTION_TYPES[action], after > before, before, after,
+                              self.terminal, task_complete)
         return self.state(), outcome, event
 
     def situation_removal_check(self, progress_before: float, progress_after: float) -> bool:

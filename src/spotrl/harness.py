@@ -550,8 +550,9 @@ def resolve_experiment_spec(values: dict[str, str]) -> ExperimentSpec:
     return ExperimentSpec(runs, out, workers)
 
 
-def _run_single_safe(rc: RunConfig) -> dict | str:
-    """Pool worker: never raises; failures come back as formatted tracebacks."""
+def _run_single_safe(rc: RunConfig) -> dict | tuple[str, bool]:
+    """Pool worker: never raises. A crash comes back as its formatted
+    traceback and whether that was written to the run's ``error.txt``."""
     try:
         return run_single(rc)
     except Exception:
@@ -561,8 +562,8 @@ def _run_single_safe(rc: RunConfig) -> dict | str:
             run_dir.mkdir(parents=True, exist_ok=True)
             (run_dir / "error.txt").write_text(tb)
         except OSError:
-            pass
-        return tb
+            return tb, False
+        return tb, True
 
 
 def _min_max(values: list[float]) -> tuple[Optional[float], Optional[float]]:
@@ -660,10 +661,11 @@ def format_aligned(columns: tuple[str, ...], rows: list[tuple[str, ...]]) -> str
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(spec: ExperimentSpec) -> tuple[int, list[dict]]:
+def run_sweep(spec: ExperimentSpec) -> tuple[list[tuple[RunConfig, str, bool]], list[dict]]:
     """Run every cell×seed, write per-cell summaries and the combined table.
 
-    Returns (number of failed runs, cell summaries). The table goes to
+    Returns (crashes, cell summaries); a crash is (run, traceback, whether
+    the traceback was written to the run's ``error.txt``). The table goes to
     ``<out>/sweep.csv`` and ``<out>/sweep.txt``.
     """
     out_root = Path(spec.out)
@@ -680,10 +682,15 @@ def run_sweep(spec: ExperimentSpec) -> tuple[int, list[dict]]:
 
     # cell -> (seeds, results by seed, failures by seed), in run order
     cells: dict[str, tuple[list[int], dict[int, dict], dict[int, str]]] = {}
+    crashes = []
     for rc, outcome in zip(spec.runs, outcomes):
         seeds, results, failures = cells.setdefault(rc.cell, ([], {}, {}))
         seeds.append(rc.seed)
-        (results if isinstance(outcome, dict) else failures)[rc.seed] = outcome
+        if isinstance(outcome, dict):
+            results[rc.seed] = outcome
+        else:
+            failures[rc.seed] = outcome[0]
+            crashes.append((rc, *outcome))
 
     cell_summaries = []
     for label, (seeds, results, failures) in cells.items():
@@ -695,4 +702,4 @@ def run_sweep(spec: ExperimentSpec) -> tuple[int, list[dict]]:
     rows = sweep_table_rows(cell_summaries)
     write_csv(out_root / "sweep.csv", SWEEP_COLUMNS, rows)
     (out_root / "sweep.txt").write_text(format_aligned(SWEEP_COLUMNS, rows))
-    return sum(isinstance(o, str) for o in outcomes), cell_summaries
+    return crashes, cell_summaries

@@ -55,9 +55,9 @@ class TrialOrderError(ValueError):
     """Push that violates trial/step ordering, or a push to a finalized trial."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Experience:
-    """One stored transition."""
+    """One stored transition. Slotted: the buffer holds one per action."""
 
     state: Hashable
     action_id: int
@@ -85,9 +85,13 @@ def surprise(e: Experience) -> float:
     return abs(reward - e.predicted_q)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Trial:
-    ids: list[int]
+    """A trial's buffer ids, ``range(start, stop)``: pushes to a trial are
+    consecutive, because no push goes below the newest trial."""
+
+    start: int
+    stop: int
     finalized: bool = False
 
 
@@ -140,22 +144,22 @@ class ReplayBuffer:
             newest = next(reversed(trials))
             if e.trial_id < newest:
                 raise TrialOrderError(f"trial_id {e.trial_id} precedes current trial {newest}")
+        idx = self._next_id
         trial = trials.get(e.trial_id)
         if trial is None:
-            trial = trials[e.trial_id] = _Trial(ids=[])
+            trials[e.trial_id] = _Trial(idx, idx + 1)
         else:
             if trial.finalized:
                 raise TrialOrderError(f"trial {e.trial_id} is already finalized")
-            last = self._entries[trial.ids[-1]]
+            last = self._entries[trial.stop - 1]
             if e.step_index <= last.step_index:
                 raise TrialOrderError(
                     f"step_index {e.step_index} does not advance within trial {e.trial_id}"
                 )
+            trial.stop = idx + 1
 
-        idx = self._next_id
-        self._next_id += 1
+        self._next_id = idx + 1
         self._entries[idx] = e
-        trial.ids.append(idx)
         self.last_pushed = e
         if not self.cfg.uses_trial_reward:
             self._rank_insert(idx)
@@ -175,10 +179,11 @@ class ReplayBuffer:
             raise KeyError(f"unknown trial id {trial_id}")
         if trial.finalized:
             return
-        instants = [self._entries[i].instant_reward for i in trial.ids]
+        ids = range(trial.start, trial.stop)
+        instants = [self._entries[i].instant_reward for i in ids]
         filled = rewards.backfill(instants, completed, self.cfg)
         trial_kind = self.cfg.uses_trial_reward
-        for idx, value in zip(trial.ids, filled):
+        for idx, value in zip(ids, filled):
             e = self._entries[idx]
             before = surprise(e)
             e.trial_reward = value
@@ -252,7 +257,7 @@ class ReplayBuffer:
                 break  # never evict the trial currently being written
             trial = self._trials.pop(oldest_id)
             ranked = trial.finalized or not self.cfg.uses_trial_reward
-            for idx in trial.ids:
+            for idx in range(trial.start, trial.stop):
                 if ranked:
                     self._rank_remove(idx)
                 del self._entries[idx]

@@ -52,16 +52,31 @@ def masked_ties(q: QFunction, state: Hashable, mask: ActionMask) -> tuple[int, .
 
     When the mask allows one of ``q.ties``, the best allowed value is the
     state's best, so the allowed maximizers are the answer and the row is
-    scanned only when it allows none of them.
+    scanned only when it allows none of them. A lone maximizer the mask
+    allows is returned as the very tuple ``q.ties`` gave.
     """
     if True not in mask:
         raise EmptyActionSpaceError("empty dynamic action space")
-    allowed = tuple([a for a in q.ties(state) if mask[a]])
-    if allowed:
-        return allowed
+    tied = q.ties(state)
+    if len(tied) == 1:
+        if mask[tied[0]]:
+            return tied
+    else:
+        allowed = tuple([a for a in tied if mask[a]])
+        if allowed:
+            return allowed
     values = q.row(state)
-    best = max([v for v, ok in zip(values, mask) if ok])
-    return tuple([a for a, ok in enumerate(mask) if ok and values[a] == best])
+    best = None
+    scanned: list[int] = []
+    for a, ok in enumerate(mask):  # one pass: cheaper than max() then a filter
+        if ok:
+            v = values[a]
+            if best is None or v > best:
+                best = v
+                scanned = [a]
+            elif v == best:
+                scanned.append(a)
+    return tuple(scanned)
 
 
 def masked_argmax(q: QFunction, state: Hashable, mask: Optional[ActionMask],

@@ -95,7 +95,7 @@ class AgentConfig:
         return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     trial_id: int
     completed: bool
@@ -112,9 +112,10 @@ class TrialRecord:
         return min(1.0, self.ideal_actions / self.actions_taken)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepTrace:
-    """Per-step detail handed to observers for the step log."""
+    """Per-step detail handed to observers for the step log; slotted, like
+    the experience it wraps, since a trial keeps one per action."""
     experience: Experience
     epsilon: float
     masked_policy: bool
@@ -150,7 +151,10 @@ def masked_policy_flag(q: QFunction, state, mask: list, executed_value: float) -
     and the row is not read."""
     if executed_value >= q.best_value(state):
         return False
-    return True in mask and not any(mask[a] for a in q.ties(state))
+    tied = q.ties(state)
+    if len(tied) == 1:
+        return not mask[tied[0]] and True in mask
+    return True in mask and True not in map(mask.__getitem__, tied)
 
 
 def check_allowed(mask: list, action: int) -> None:

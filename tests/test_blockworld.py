@@ -93,6 +93,17 @@ def test_decode_covers_all_actions():
         env.decode(-1)
 
 
+def test_step_rejects_an_action_outside_the_id_range():
+    """step reads the decoded action table, and a negative id, which would
+    index it from the end, is refused like one past the end."""
+    for action in (-1, -96, 96):
+        env = BlockWorld()
+        env.reset(0)
+        with pytest.raises(ValueError, match="unknown action"):
+            env.step(action)
+        assert env.step_count == 0
+
+
 @pytest.mark.parametrize("goal_size", [2, 3, 4])
 def test_row_block_count_is_bounded_by_the_most_run_free_singletons(goal_size):
     """With the most singletons that avoid a finished row, reset still finds
@@ -700,6 +711,26 @@ def test_mask_memo_is_exact_and_fresh(monkeypatch):
         held_rows = {id(env._masks[s]) for s in states if s[0]}
         assert len(held_rows) == (task != "clear")
     assert calls["_topple"] and calls["reset"] > len(TASKS) * 2 * 4
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("text", [None, TWO_STACK], ids=["scattered", "from_text"])
+def test_equal_states_are_one_object(task, text):
+    """Along a seeded walk over every action, disallowed ones too (a failed
+    action returns an equal state), reset, step and state return one object
+    for all equal states, from scattered and from_text starts alike."""
+    env = BlockWorld(task=task) if text is None else world(text, task=task)
+    rng = random.Random(5)
+    seen = {}
+    state = env.reset(0)
+    for _ in range(2_000):
+        assert seen.setdefault(state, state) is state
+        assert env.state() is state
+        if env.terminal:
+            state = env.reset(rng.randrange(1 << 30))
+        else:
+            state, _, _ = env.step(rng.randrange(env.n_actions))
+    assert len(seen) < 1_000  # so most states came back, as the same object
 
 
 def test_walks_cover_every_feature_case():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from spotrl.envs.gridworld import (
+    ACTION_TYPES,
     FORWARD,
     GAP_ROWS,
     LAVA_COLUMNS,
@@ -15,6 +16,8 @@ from spotrl.envs.gridworld import (
 )
 
 from spotrl.qfunction import TabularQ, dump_qfunction, parse_qdump
+from spotrl.rewards import RewardConfig
+from spotrl.trainer import AgentConfig, run_training
 
 from oracles import cell_distance_field, grid_mask, pose_graph_shortest
 
@@ -145,6 +148,48 @@ def test_layout_keys_hash_and_print_as_plain_tuples():
     restored.load_records(rows)
     for state in states:
         assert repr(restored.row(state)) == repr(q.row(state))
+
+
+@pytest.mark.parametrize("text", [None, OPEN_9X9, SMALL], ids=["generated", "open", "small"])
+def test_equal_states_are_one_object(text):
+    """Along a seeded walk over every action, blocked and fatal ones too,
+    reset, step and state return one object for all equal states, from
+    generated and from_text starts alike."""
+    g = GridWorld() if text is None else GridWorld.from_text(text)
+    rng = random.Random(11)
+    seen = {}
+    state = g.state() if text else g.reset(0)
+    for _ in range(3_000):
+        assert seen.setdefault(state, state) is state
+        assert g.state() is state
+        if g.terminal:
+            state = g.reset(rng.randrange(1 << 30))
+        else:
+            state, _, _ = g.step(rng.randrange(3))
+    assert len(seen) < 1_000  # so most states came back, as the same object
+
+
+def test_a_reloaded_qtable_reads_the_interned_states(tmp_path):
+    """A dumped and reloaded table, whose keys are plain tuples, reads at
+    every state the training env interned the values the trained table
+    holds, and names the same ties."""
+    env = GridWorld()
+    cfg = AgentConfig(reward=RewardConfig(weights=dict.fromkeys(ACTION_TYPES, 1.0),
+                                          reward_kind="progress", learn_discount=0.9),
+                      seed=1, training_action_budget=3_000, use_mask=True,
+                      validation_every=0)
+    q, _, _ = run_training(lambda: env, cfg)
+    path = tmp_path / "qtable.txt"
+    path.write_text(dump_qfunction(q, {}))
+    _, rows = parse_qdump(path.read_text())
+    restored = TabularQ(3)
+    restored.load_records(rows)
+    assert {type(key[3]) for key in restored._table} == {tuple}
+    assert len(q._table) > 100
+    for state in q._table:
+        assert env._states[state] is state
+        assert repr(restored.row(state)) == repr(q.row(state))
+        assert restored.ties(state) == q.ties(state)
 
 
 def test_reset_without_seed_surveys_the_current_cells():

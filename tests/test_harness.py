@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1002,6 +1003,33 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_a_crash_whose_error_file_cannot_be_written_prints_its_traceback(tmp_path, capsys):
+    """A run whose directory path is a file crashes and cannot write its
+    error.txt: the sweep exits 1 with that run's traceback on stderr. A run
+    that crashes later (its qtable.txt path is a directory) writes its
+    error.txt, and stderr points at it; no pointer names a missing file."""
+    out = tmp_path / "sweep"
+    (out / "none+base").mkdir(parents=True)
+    (out / "none+base" / "seed_1").write_text("not a run directory\n")
+    (out / "mask+base" / "seed_0" / "qtable.txt").mkdir(parents=True)
+    code = main(["sweep", "--env", "blockworld", "--cells", "none+base,mask+base",
+                 "--seeds", "0,1", "--budget", "60", "--workers", "1",
+                 "--set", "eval_trials=2", "--set", "validation_every=0",
+                 "--set", "log_steps=false", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback (most recent call last):" in err
+    assert "FileExistsError" in err
+    assert str(out / "none+base" / "seed_1") in err
+    written = out / "mask+base" / "seed_0" / "error.txt"
+    assert list(out.rglob("error.txt")) == [written]
+    assert "IsADirectoryError" in written.read_text()
+    assert re.findall(r"see (\S*error\.txt)", err) == [str(written)]
+    for cell in ("none+base", "mask+base"):
+        cs = json.loads((out / cell / "summary.json").read_text())
+        assert list(cs["failures"]) == ["1" if cell == "none+base" else "0"]
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -389,6 +389,50 @@ def test_sampling_matches_the_brute_force_reference(kind, capacity, per_exponent
             assert buf.sample(rng_a, atype, success) == ref.sample(rng_b, atype, success)
 
 
+@given(
+    kind=st.sampled_from(["base", "trial_progress"]),
+    capacity=st.integers(1, 8),
+    steps=REPLAY_STEPS,
+)
+def test_trial_id_bounds_match_the_brute_force_reference(kind, capacity, steps):
+    """Each live trial's id bounds, its finalized flag and the live entries
+    equal the reference's per-trial index lists after every push, finalize
+    (late ones included) and eviction."""
+    c = cfg(kind)
+    buf = ReplayBuffer(c, capacity=capacity)
+    ref = BruteForceReplay(capacity=capacity, trial_kind=c.uses_trial_reward,
+                           per_exponent=2.0, filter_prob=0.5, trial_discount=c.trial_discount)
+
+    def check():
+        assert [(t, list(range(r.start, r.stop))) for t, r in buf._trials.items()] == \
+            list(ref.trials.items())
+        assert {t for t, r in buf._trials.items() if r.finalized} == \
+            ref.finalized & ref.trials.keys()
+        assert sorted(buf._entries) == sorted(ref.entries)
+
+    trial, step, abandoned = 0, 0, []
+    for atype, success, instant, predicted, then, late, _ in steps:
+        buf.push(exp(step, atype=atype, success=success, instant=instant,
+                     predicted=predicted, trial=trial, step=step))
+        ref.push(trial_id=trial, atype=atype, success=success, instant=instant,
+                 predicted=predicted)
+        check()
+        if then == "continue":
+            step += 1
+        else:
+            if then == "abandon":
+                abandoned.append(trial)
+            else:
+                buf.finalize_trial(trial, then == "complete")
+                ref.finalize(trial, then == "complete")
+            trial, step = trial + 1, 0
+        if late and abandoned:
+            old = abandoned.pop(0)
+            buf.finalize_trial(old, True)
+            ref.finalize(old, True)
+        check()
+
+
 # -- rewards seen by training ----------------------------------------------
 
 

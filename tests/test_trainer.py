@@ -256,6 +256,32 @@ def test_trial_accounting_invariants():
         assert 0 <= completed <= 5
 
 
+def test_run_records_are_slotted_and_share_each_state():
+    """The records a run keeps per action and per trial carry no instance
+    dict, and every state an experience stores, and every Q-table key, is
+    the one object the env returns for that state."""
+    cfg = AgentConfig(
+        reward=RewardConfig(weights=GRID_WEIGHTS, reward_kind="progress",
+                            learn_discount=0.9),
+        seed=2,
+        training_action_budget=1_500,
+        use_mask=True,
+        use_spotq=True,
+        validation_every=0,
+    )
+    observer = Collector()
+    q, records, _ = run_training(lambda: GridWorld(), cfg, observer=observer)
+    traces = [t for _, ts in observer.trials for t in ts]
+    for record in (records[0], traces[0], traces[0].experience):
+        assert not hasattr(record, "__dict__")
+    seen = {}
+    for trace in traces:
+        for state in (trace.experience.state, trace.experience.next_state):
+            assert seen.setdefault(state, state) is state
+    assert len(seen) < len(traces)
+    assert all(seen[key] is key for key in q._table)
+
+
 def test_situation_removal_cuts_trials():
     """Under a shaped reward kind, a progress-losing step ends the trial
     with zero reward and no completion bonus; completed trials still earn

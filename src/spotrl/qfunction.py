@@ -5,9 +5,8 @@ Two implementations share the interface:
 - :class:`TabularQ` — exact table over hashable states, the default for the
   grid world's pose states and for tiny test MDPs. It stores one list row
   of every action's value per state, plus flags marking the actions that
-  were written and the row's ties until its next write, so every read or
-  update hashes the state once, however many actions it touches, and
-  indexes the row by action id.
+  were written, so every read or update hashes the state once, however
+  many actions it touches, and indexes the row by action id.
 - :class:`LinearQ` — one weight per indicator feature, for the block world
   where the exact occupancy space is too sparse to visit. The environment
   owns the feature ids (one per action at each state); the weights are a
@@ -94,26 +93,25 @@ class QFunction:
 class TabularQ(QFunction):
     """Exact Q-table over hashable state keys; unseen entries read ``initial``.
 
-    Stored as ``{state: [row, written, tied]}``: ``row`` holds every
-    action's value, ``initial`` where never written, ``written`` flags the
-    actions that were written (or loaded), and ``tied`` is the row's
-    ``ties``, kept from its first read until the next write to the row
-    (None meanwhile). Records and ``len()`` see only the flagged entries,
-    so a dump lists exactly what was written. ``row`` returns a copy of the
-    stored row; ``best_value`` and ``ties`` read it in place."""
+    Stored as ``{state: (row, written)}``: ``row`` holds every action's
+    value, ``initial`` where never written, and ``written`` flags the
+    actions that were written (or loaded). Records and ``len()`` see only
+    the flagged entries, so a dump lists exactly what was written.
+    ``row`` returns a copy of the stored row; ``best_value`` and ``ties``
+    read it in place."""
 
     kind = "tabular"
 
     def __init__(self, n_actions: int, initial: float = 0.0):
         self.n_actions = n_actions
         self.initial = initial
-        self._table: dict[Hashable, list] = {}
+        self._table: dict[Hashable, tuple[list[float], list[bool]]] = {}
 
-    def _entry(self, state: Hashable) -> list:
+    def _entry(self, state: Hashable) -> tuple[list[float], list[bool]]:
         entry = self._table.get(state)
         if entry is None:
             n = self.n_actions
-            entry = self._table[state] = [[self.initial] * n, [False] * n, None]
+            entry = self._table[state] = ([self.initial] * n, [False] * n)
         return entry
 
     def value(self, state: Hashable, action_id: int) -> float:
@@ -134,27 +132,21 @@ class TabularQ(QFunction):
         entry = self._table.get(state)
         if entry is None:
             return tuple(range(self.n_actions))
-        tied = entry[2]
-        if tied is None:
-            row = entry[0]
-            tied = entry[2] = _positions(row, max(row))
-        return tied
+        return _positions(entry[0], max(entry[0]))
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
-        entry = self._table.get(state) or self._entry(state)
-        row = entry[0]
+        row, written = self._table.get(state) or self._entry(state)
         old = row[action_id]
         row[action_id] = old + lr * (target - old)
-        entry[1][action_id] = True
-        entry[2] = None
+        written[action_id] = True
         return old
 
     def __len__(self) -> int:
-        return sum(sum(written) for _, written, _ in self._table.values())
+        return sum(sum(written) for _, written in self._table.values())
 
     def records(self) -> list[tuple[str, int, float]]:
         rows = []
-        for state, (values, written, _) in self._table.items():
+        for state, (values, written) in self._table.items():
             key = repr(state)
             rows.extend((key, a, values[a]) for a, w in enumerate(written) if w)
         rows.sort(key=lambda r: (r[0], r[1]))
@@ -165,10 +157,9 @@ class TabularQ(QFunction):
             a = int(action)
             if not 0 <= a < self.n_actions:
                 raise ValueError(f"action {a} outside 0..{self.n_actions - 1}")
-            entry = self._entry(_parse_key(key))
-            entry[0][a] = value
-            entry[1][a] = True
-            entry[2] = None
+            values, written = self._entry(_parse_key(key))
+            values[a] = value
+            written[a] = True
 
 
 class LinearQ(QFunction):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Callable, Optional
@@ -112,6 +113,22 @@ class TrialRecord:
         return min(1.0, self.ideal_actions / self.actions_taken)
 
 
+def trial_record(trial_id: int, ideal: int, termination: str, steps: list) -> TrialRecord:
+    """The record of a finished trial, its per-type attempt and success
+    counts (in first-seen order) taken from its steps: experiences in
+    training, step outcomes in a greedy trial, each with ``action_type``
+    and ``success``."""
+    attempts: dict = {}
+    successes: dict = {}
+    for s in steps:
+        attempts[s.action_type] = attempts.get(s.action_type, 0) + 1
+        if s.success:
+            successes[s.action_type] = successes.get(s.action_type, 0) + 1
+    return TrialRecord(trial_id=trial_id, completed=termination == TERMINATION_COMPLETE,
+                       actions_taken=len(steps), ideal_actions=ideal, attempts=attempts,
+                       successes=successes, termination=termination)
+
+
 @dataclass(slots=True)
 class StepTrace:
     """Per-step detail handed to observers for the step log; slotted, like
@@ -169,13 +186,16 @@ def run_validation(q, env_factory: Callable[[], Env], cfg: AgentConfig, round_in
     """Greedy-policy probe on fresh evaluation-range seeds; returns the
     number of completed trials. No learning, no situation removal."""
     stream = seeding.stream(cfg.seed, f"val-{round_index}")
+    trials = probe(q, env_factory, cfg.validation_trials, cfg.use_mask, stream)
+    return sum(t.completed for t in trials)
+
+
+def probe(q, env_factory: Callable[[], Env], n_trials: int, use_mask: bool,
+          rng: random.Random) -> list[TrialRecord]:
+    """``n_trials`` greedy trials on one fresh env, sharing one tie memo."""
     env = env_factory()
     ties: dict = {}
-    completed = 0
-    for _ in range(cfg.validation_trials):
-        if run_greedy_trial(q, env, cfg.use_mask, stream, ties).completed:
-            completed += 1
-    return completed
+    return [run_greedy_trial(q, env, use_mask, rng, ties) for _ in range(n_trials)]
 
 
 def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random,
@@ -191,10 +211,7 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random,
         ties = {}
     state = env.reset(seeding.eval_env_seed(rng))
     ideal = env.ideal_actions()
-    attempts: dict = {}
-    successes: dict = {}
-    steps = 0
-    completed = False
+    outcomes = []
     event = None
     while not env.terminal:
         tied = ties.get(state)
@@ -207,20 +224,9 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random,
             else:
                 tied = ties[state] = q.ties(state)
         state, outcome, event = env.step(draw_tie(tied, rng))
-        steps += 1
-        attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
-        if outcome.success:
-            successes[outcome.action_type] = successes.get(outcome.action_type, 0) + 1
-        completed = outcome.task_complete
-    return TrialRecord(
-        trial_id=0,
-        completed=completed,
-        actions_taken=steps,
-        ideal_actions=ideal,
-        attempts=attempts,
-        successes=successes,
-        termination=termination_label(completed, event),
-    )
+        outcomes.append(outcome)
+    completed = bool(outcomes) and outcomes[-1].task_complete
+    return trial_record(0, ideal, termination_label(completed, event), outcomes)
 
 
 def run_training(
@@ -263,13 +269,10 @@ def run_training(
     while actions_done < cfg.training_action_budget and not stop:
         state = env.reset(seeding.training_env_seed(env_seed_rng))
         ideal = env.ideal_actions()
-        attempts: dict = {}
-        successes: dict = {}
         traces: list[StepTrace] = []
         termination: Optional[str] = None
-        step_in_trial = 0
 
-        while True:
+        while termination is None and actions_done < cfg.training_action_budget and not stop:
             epsilon = cfg.epsilon_at(actions_done)
             mask = env.mask_for(state) if cfg.use_mask else None
             action = select_action(q, state, mask, epsilon, action_rng, tie_rng, env.n_actions)
@@ -304,19 +307,17 @@ def run_training(
                 predicted_q=predicted,
                 success=outcome.success,
                 trial_id=trial_id,
-                step_index=step_in_trial,
+                step_index=len(traces),
                 next_state=next_state,
                 terminal=terminal,
             )
             buf.push(e)
             actions_done += 1
-            step_in_trial += 1
-            attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
-            if outcome.success:
-                successes[outcome.action_type] = successes.get(outcome.action_type, 0) + 1
 
             if terminal:
                 buf.finalize_trial(trial_id, outcome.task_complete)
+                termination = (TERMINATION_SR if sr_cut
+                               else termination_label(outcome.task_complete, event))
 
             replay.apply_update(e, q, target_mask_fn, rcfg, cfg.learning_rate, tie_rng,
                                 reward=e.instant_reward)
@@ -331,25 +332,11 @@ def run_training(
                     convergence = actions_done
                     if cfg.stop_on_convergence:
                         stop = True
-
-            if terminal:
-                termination = (TERMINATION_SR if sr_cut
-                               else termination_label(outcome.task_complete, event))
-                break
-            if actions_done >= cfg.training_action_budget or stop:
-                break
             state = next_state
 
         if termination is not None:
-            record = TrialRecord(
-                trial_id=trial_id,
-                completed=termination == TERMINATION_COMPLETE,
-                actions_taken=step_in_trial,
-                ideal_actions=ideal,
-                attempts=attempts,
-                successes=successes,
-                termination=termination,
-            )
+            record = trial_record(trial_id, ideal, termination,
+                                  [t.experience for t in traces])
             records.append(record)
             if observer is not None:
                 observer.on_trial(record, traces)
@@ -372,27 +359,17 @@ def evaluate(
     Efficiency is ideal/actual clamped to 1, averaged over completed trials
     only (0 when nothing completed). Also reports per-type success rates.
     """
-    stream = seeding.stream(seed, "eval")
-    env = env_factory()
-    ties: dict = {}
-    trials: list[TrialRecord] = []
-    for i in range(n_trials):
-        record = run_greedy_trial(q, env, use_mask, stream, ties)
-        trials.append(replace(record, trial_id=i))
+    trials = [replace(t, trial_id=i) for i, t in enumerate(
+        probe(q, env_factory, n_trials, use_mask, seeding.stream(seed, "eval")))]
     done = [t for t in trials if t.completed]
-    attempts: dict = {}
-    successes: dict = {}
+    attempts, successes = Counter(), Counter()
     for t in trials:
-        for k, v in t.attempts.items():
-            attempts[k] = attempts.get(k, 0) + v
-        for k, v in t.successes.items():
-            successes[k] = successes.get(k, 0) + v
+        attempts.update(t.attempts)
+        successes.update(t.successes)
     summary = {
         "completion_rate": len(done) / n_trials if n_trials else 0.0,
         "mean_efficiency": (sum(t.efficiency for t in done) / len(done)) if done else 0.0,
-        "success_rates": {
-            k: successes.get(k, 0) / attempts[k] for k in sorted(attempts)
-        },
+        "success_rates": {k: successes[k] / attempts[k] for k in sorted(attempts)},
     }
     return summary, trials
 

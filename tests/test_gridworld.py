@@ -508,3 +508,10 @@ def test_from_text_rejects_bad_grids():
                  "#####\n#>.G#\n#G..#\n#####"):
         with pytest.raises(ValueError, match="more than one"):
             GridWorld.from_text(text)
+
+
+def test_from_text_rejects_a_goal_the_start_cannot_reach():
+    """A grid whose goal is walled off from the start has no ideal count, so
+    it is refused rather than replayed as an unsolvable layout."""
+    with pytest.raises(GenerationError, match="unreachable"):
+        GridWorld.from_text("#######\n#>.#..#\n#..#.G#\n#######\n")

@@ -375,6 +375,21 @@ def test_summarize_cell_and_table_cells():
     assert row[3] == "error" and row[5] == "error"
 
 
+
+def test_sweep_table_convergence_cell_when_every_seed_converged():
+    """With every seed converged the cell is one count for equal values and
+    a low-high range otherwise, with no 'none' end."""
+    results = {
+        0: {"completion_rate": 1.0, "mean_efficiency": 0.5, "convergence_actions": 2000},
+        1: {"completion_rate": 1.0, "mean_efficiency": 0.5, "convergence_actions": 2000},
+    }
+    cs = harness.summarize_cell("spotq+progress", [0, 1], results, {})
+    assert (cs["seeds_completed"], cs["seeds_converged"]) == (2, 2)
+    assert harness.sweep_table_rows([cs])[0][5] == "2000"
+    results[1]["convergence_actions"] = 4000
+    cs = harness.summarize_cell("spotq+progress", [0, 1], results, {})
+    assert harness.sweep_table_rows([cs])[0][5] == "2000-4000"
+
 def test_format_aligned():
     text = harness.format_aligned(("a", "long"), [("xx", "y"), ("z", "wwwww")])
     lines = text.splitlines()
@@ -699,6 +714,24 @@ def test_cli_io_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_cli_unreadable_config_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(tmp_path / "missing.conf"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
+    assert not out.exists()
+
+
+def test_cli_sweep_out_under_a_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("x")
+    code = main(["sweep", "--cells", "none+base", "--seeds", "0,1", "--budget", "10",
+                 "--workers", "1", "--out", str(blocker / "sub"),
+                 "--set", "validation_every=0", "--set", "eval_trials=1",
+                 "--set", "log_steps=false"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: cannot write sweep artifacts")
+
 def test_cli_eval_writes_json_and_csv(trained_run, tmp_path, capsys):
     _, run_dir, payload = trained_run
     out = tmp_path / "checks" / "eval.json"
@@ -884,6 +917,44 @@ def test_cli_eval_bad_start_files_exit_2(trained_run, trained_grid, tmp_path, ca
         assert capsys.readouterr().err.startswith("error: bad scenario file")
         assert not out.exists()
 
+
+
+def test_cli_eval_zero_trials_exits_2(trained_grid, tmp_path, capsys):
+    out = tmp_path / "eval.json"
+    code = main(["eval", "--model", str(trained_grid / "qtable.txt"), "--trials", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --trials must be at least 1")
+    assert not out.exists()
+
+
+def test_cli_eval_unreadable_scenario_exits_2(trained_grid, tmp_path, capsys):
+    out = tmp_path / "eval.json"
+    code = main(["eval", "--model", str(trained_grid / "qtable.txt"),
+                 "--scenario", str(tmp_path / "missing.txt"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read scenario file")
+    assert not out.exists()
+
+
+def test_cli_eval_unreachable_grid_goal_exits_2(trained_grid, tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("#######\n#>.#..#\n#..#.G#\n#######\n")
+    out = tmp_path / "eval.json"
+    code = main(["eval", "--model", str(trained_grid / "qtable.txt"),
+                 "--scenario", str(grid), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad scenario file: start unreachable")
+    assert not out.exists()
+
+
+def test_cli_eval_out_under_a_file_exits_3(trained_grid, tmp_path, capsys):
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("x")
+    code = main(["eval", "--model", str(trained_grid / "qtable.txt"), "--trials", "2",
+                 "--out", str(blocker / "eval.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {blocker / 'eval.json'}")
 
 def test_cli_eval_grid_needs_a_gridworld_model(trained_run, tmp_path, capsys):
     """A grid file with a block-world model exits 2 with an error, not a traceback."""

@@ -474,6 +474,34 @@ def test_a_shared_probe_memo_matches_an_unmemoized_greedy_loop(name, use_mask, s
     assert run_validation(q, factory, val_cfg, 3) == completed
 
 
+
+@pytest.mark.parametrize("name", sorted(PROBE_RUNS))
+def test_training_records_recount_their_own_steps(name):
+    """Each finished training trial's attempt and success counts are a
+    per-step recount over its traces, in first-seen key order, held in
+    plain dicts."""
+    factory, weights, kind, budget = PROBE_RUNS[name]
+    cfg = AgentConfig(reward=RewardConfig(weights=weights, reward_kind=kind), seed=7,
+                      training_action_budget=budget, use_mask=True, use_spotq=True,
+                      validation_every=0)
+    q = LinearQ(factory()) if factory is BlockWorld else TabularQ(factory().n_actions)
+    observer = Collector()
+    run_training(factory, cfg, q=q, observer=observer)
+    assert observer.trials
+    kinds = set()
+    for record, traces in observer.trials:
+        attempts, successes = {}, {}
+        for trace in traces:
+            e = trace.experience
+            attempts[e.action_type] = attempts.get(e.action_type, 0) + 1
+            if e.success:
+                successes[e.action_type] = successes.get(e.action_type, 0) + 1
+        assert type(record.attempts) is dict and type(record.successes) is dict
+        assert list(record.attempts.items()) == list(attempts.items())
+        assert list(record.successes.items()) == list(successes.items())
+        kinds.add((len(attempts) > 1, bool(successes)))
+    assert (True, True) in kinds  # some trial mixes action types and succeeds
+
 def test_a_disallowed_pick_raises(monkeypatch):
     """The mask check is an exception, not an assert, so it also holds under
     ``python -O``. A policy forced onto a masked action (place with an empty

@@ -126,8 +126,6 @@ def cli_eval(args: argparse.Namespace) -> int:
         "mean_efficiency": summary["mean_efficiency"],
         "success_rates": summary["success_rates"],
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         harness.write_json(out_path, payload)
@@ -136,6 +134,7 @@ def cli_eval(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_IO
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -27,17 +27,29 @@ equivalence.
 The buffer is append-only up to capacity; eviction removes whole trials,
 oldest first, so backfilled rewards stay coherent.
 
-The rank store is plain sorted lists of ``(-surprise, index)`` keys, one for
-all eligible experiences and one per (action type, success) group. An
-insert (``insort``) or a remove (``bisect_left`` then ``del``) is a C-level
-shift, and ``sample`` reads its drawn rank with an O(1) list index. At
-finalize, an instant-kind entry is re-ranked only when its surprise
-changes: an equal surprise is the identical key, so its rank is unchanged.
+Each rank list (one for all eligible experiences, one per (action type,
+success) group) is two parallel typed arrays sorted by ``(-surprise, id)``:
+``array("d")`` keys and ``array("q")`` ids, so a ranked experience costs 16
+bytes there and no Python objects. An insert or a remove is a bisect plus a
+C-level shift of both arrays. An insert whose id is above every ranked id
+(every push; a trial kind's in-order finalize) is one ``bisect_right`` on the
+keys. Any other insert, and a remove, bisects the ids inside the run of equal
+keys (many surprises are 0, so runs are long), unless the id heads its run,
+as an evicted id always does. ``sample`` reads its drawn id with an O(1)
+array index. At finalize, an instant-kind entry is
+re-ranked only when its surprise changes: an equal surprise is the identical
+key, so its rank is unchanged.
+
+Experiences live in a list indexed by ``id - base``. Eviction removes the
+oldest ids, so evicted slots (set to None) are always a prefix; that prefix
+is dropped once it is more than half the list, keeping eviction amortized
+O(1).
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right, insort
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
@@ -110,30 +122,44 @@ class ReplayBuffer:
         self.per_exponent = per_exponent
         self.type_filter_prob = type_filter_prob
 
-        self._entries: dict[int, Experience] = {}
+        # Experience of id i at _entries[i - _base]; the first _dead slots
+        # are evicted (None).
+        self._entries: list[Optional[Experience]] = []
+        self._base = 0
+        self._dead = 0
         self._next_id = 0
         # First key the oldest live trial, last the newest: ids arrive in
         # increasing order, eviction pops the oldest and spares the newest.
         self._trials: dict[int, _Trial] = {}
         self.last_pushed: Optional[Experience] = None
 
-        # Sampling structures: (-surprise, id) tuples, so iteration order is
-        # surprise-descending with insertion id as the deterministic tiebreak.
-        self._ranked_all: list[tuple[float, int]] = []
-        self._ranked_group: dict[tuple[str, bool], list[tuple[float, int]]] = {}
+        # Rank lists: keys (-surprise) and ids in parallel, sorted by
+        # (key, id), so rank order is surprise-descending with insertion id
+        # as the deterministic tiebreak.
+        self._all_keys = array("d")
+        self._all_ids = array("q")
+        self._group_keys: dict[tuple[str, bool], array] = {}
+        self._group_ids: dict[tuple[str, bool], array] = {}
+        self._top = -1  # highest id ever ranked
         # Prefix sums of (rank+1)**(-per_exponent), grown on demand.
-        self._cum: list[float] = []
+        self._cum = array("d")
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) - self._dead
 
     @property
     def eligible(self) -> int:
         """Number of experiences currently visible to sample()."""
-        return len(self._ranked_all)
+        return len(self._all_ids)
 
     def get(self, index: int) -> Experience:
-        return self._entries[index]
+        """The live experience with buffer id index; KeyError for an id
+        that is negative, evicted or not yet pushed."""
+        i = index - self._base
+        e = self._entries[i] if 0 <= i < len(self._entries) else None
+        if e is None:
+            raise KeyError(index)
+        return e
 
     # -- writing ----------------------------------------------------------
 
@@ -151,7 +177,7 @@ class ReplayBuffer:
         else:
             if trial.finalized:
                 raise TrialOrderError(f"trial {e.trial_id} is already finalized")
-            last = self._entries[trial.stop - 1]
+            last = self._entries[trial.stop - 1 - self._base]
             if e.step_index <= last.step_index:
                 raise TrialOrderError(
                     f"step_index {e.step_index} does not advance within trial {e.trial_id}"
@@ -159,7 +185,7 @@ class ReplayBuffer:
             trial.stop = idx + 1
 
         self._next_id = idx + 1
-        self._entries[idx] = e
+        self._entries.append(e)
         self.last_pushed = e
         if not self.cfg.uses_trial_reward:
             self._rank_insert(idx)
@@ -179,12 +205,12 @@ class ReplayBuffer:
             raise KeyError(f"unknown trial id {trial_id}")
         if trial.finalized:
             return
-        ids = range(trial.start, trial.stop)
-        instants = [self._entries[i].instant_reward for i in ids]
-        filled = rewards.backfill(instants, completed, self.cfg)
+        base = self._base
+        trial_entries = self._entries[trial.start - base:trial.stop - base]
+        filled = rewards.backfill([e.instant_reward for e in trial_entries],
+                                  completed, self.cfg)
         trial_kind = self.cfg.uses_trial_reward
-        for idx, value in zip(ids, filled):
-            e = self._entries[idx]
+        for idx, e, value in zip(range(trial.start, trial.stop), trial_entries, filled):
             before = surprise(e)
             e.trial_reward = value
             if trial_kind:
@@ -204,18 +230,18 @@ class ReplayBuffer:
         The rank is the first prefix sum of the rank weights above a uniform
         draw scaled to the candidates' total weight.
         """
-        candidates = self._ranked_all
-        if not candidates:
+        ids = self._all_ids
+        if not ids:
             raise EmptyBufferError("no sample-eligible experiences in buffer")
         if rng.random() < self.type_filter_prob:
-            group = self._ranked_group.get((last_action_type, not last_success))
+            group = self._group_ids.get((last_action_type, not last_success))
             if group:
-                candidates = group
-        n = len(candidates)
+                ids = group
+        n = len(ids)
         cum = self._cum
         if len(cum) < n:
             self._grow_cum(n)
-        return candidates[bisect_right(cum, rng.random() * cum[n - 1], 0, n - 1)][1]
+        return ids[bisect_right(cum, rng.random() * cum[n - 1], 0, n - 1)]
 
     def _grow_cum(self, n: int) -> None:
         cum = self._cum
@@ -231,27 +257,42 @@ class ReplayBuffer:
 
     # -- internals --------------------------------------------------------
 
+    def _rank_lists(self, e: Experience) -> tuple[tuple[array, array], tuple[array, array]]:
+        """The (keys, ids) arrays of the all-list and of e's group."""
+        group = (e.action_type, e.success)
+        ids = self._group_ids.get(group)
+        if ids is None:
+            ids = self._group_ids[group] = array("q")
+            self._group_keys[group] = array("d")
+        return (self._all_keys, self._all_ids), (self._group_keys[group], ids)
+
     def _rank_insert(self, idx: int) -> None:
-        e = self._entries[idx]
-        item = (-surprise(e), idx)
-        insort(self._ranked_all, item)
-        insort(self._ranked_group.setdefault((e.action_type, e.success), []), item)
+        e = self._entries[idx - self._base]
+        key = -surprise(e)
+        newest = idx > self._top
+        if newest:
+            self._top = idx
+        for keys, ids in self._rank_lists(e):
+            pos = bisect_right(keys, key) if newest else _seek(keys, ids, key, idx)[0]
+            keys.insert(pos, key)
+            ids.insert(pos, idx)
 
     def _rank_remove(self, idx: int, ranked_surprise: Optional[float] = None) -> None:
         """Remove idx's key, ranked under ranked_surprise (default: its
         current surprise); raises RuntimeError if that key is not ranked."""
-        e = self._entries[idx]
+        e = self._entries[idx - self._base]
         if ranked_surprise is None:
             ranked_surprise = surprise(e)
-        item = (-ranked_surprise, idx)
-        for ranked in (self._ranked_all, self._ranked_group.get((e.action_type, e.success), [])):
-            pos = bisect_left(ranked, item)
-            if pos == len(ranked) or ranked[pos] != item:
+        for keys, ids in self._rank_lists(e):
+            pos, found = _seek(keys, ids, -ranked_surprise, idx)
+            if not found:
                 raise RuntimeError(f"replay entry {idx} is not in the rank store")
-            del ranked[pos]
+            del keys[pos]
+            del ids[pos]
 
     def _evict_over_capacity(self, keep_trial: int) -> None:
-        while len(self._entries) > self.capacity:
+        entries = self._entries
+        while len(entries) - self._dead > self.capacity:
             oldest_id = next(iter(self._trials))
             if oldest_id == keep_trial:
                 break  # never evict the trial currently being written
@@ -260,7 +301,25 @@ class ReplayBuffer:
             for idx in range(trial.start, trial.stop):
                 if ranked:
                     self._rank_remove(idx)
-                del self._entries[idx]
+                entries[idx - self._base] = None
+            self._dead = trial.stop - self._base
+        if 2 * self._dead > len(entries):
+            del entries[:self._dead]
+            self._base += self._dead
+            self._dead = 0
+
+
+def _seek(keys: array, ids: array, key: float, idx: int) -> tuple[int, bool]:
+    """Where (key, idx) sits, or would go, in a rank list sorted by
+    (key, id), and whether it is there: a bisect of the ids inside the run
+    of keys equal to key, skipped when idx heads that run (as an evicted id
+    always does: every lower id went before it)."""
+    lo = bisect_left(keys, key)
+    if lo < len(ids) and ids[lo] == idx:
+        return lo, keys[lo] == key
+    hi = bisect_right(keys, key, lo)
+    pos = bisect_left(ids, idx, lo, hi)
+    return pos, pos < hi and ids[pos] == idx
 
 
 def apply_update(
@@ -319,7 +378,7 @@ def train_step(
     last = buf.last_pushed
     if last is None:
         raise EmptyBufferError("buffer has never been pushed to")
-    e = buf._entries[buf.sample(rng, last.action_type, last.success)]
+    e = buf._entries[buf.sample(rng, last.action_type, last.success) - buf._base]
     if mask_fn is not None:
         return apply_update(e, q, mask_fn, cfg, alpha, tie_rng)
     # No mask, no extra target: apply_update's executed target and update

@@ -954,7 +954,9 @@ def test_cli_eval_out_under_a_file_exits_3(trained_grid, tmp_path, capsys):
     code = main(["eval", "--model", str(trained_grid / "qtable.txt"), "--trials", "2",
                  "--out", str(blocker / "eval.json")])
     assert code == 3
-    assert capsys.readouterr().err.startswith(f"error: cannot write {blocker / 'eval.json'}")
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {blocker / 'eval.json'}")
+    assert captured.out == ""
 
 def test_cli_eval_grid_needs_a_gridworld_model(trained_run, tmp_path, capsys):
     """A grid file with a block-world model exits 2 with an error, not a traceback."""

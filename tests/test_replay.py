@@ -19,7 +19,7 @@ from spotrl.replay import (
 from spotrl.rewards import RewardConfig
 
 from oracles import (BruteForceReplay, CountingRandom, ForbiddenRandom, KeyFeatures,
-                     MirrorReplay, ScriptedRandom, reference_apply_update)
+                     MirrorReplay, ScriptedRandom, TupleRankReplay, reference_apply_update)
 
 WEIGHTS = {"grasp": 1.0, "place": 1.25, "push": 0.5}
 
@@ -313,6 +313,11 @@ def test_removing_an_unranked_entry_raises():
     buf.push(exp(0))
     with pytest.raises(RuntimeError):
         buf._rank_remove(0)
+    # Ranked, but under another surprise (1.0): the key must match too.
+    buf = ReplayBuffer(cfg())
+    buf.push(exp(0, instant=1.0, predicted=0.0))
+    with pytest.raises(RuntimeError):
+        buf._rank_remove(0, ranked_surprise=2.0)
 
 
 # One pushed step: action type, success, instant reward, prediction, how the
@@ -355,12 +360,18 @@ def test_sampling_matches_the_brute_force_reference(kind, capacity, per_exponent
     evictions (of finalized trials and, under a trial kind, of unfinalized
     ones) and draws: the buffer's eligible count and every sampled index
     match a reference that re-sorts the live eligible entries per draw."""
+    drive_against(BruteForceReplay, kind, capacity, per_exponent, filter_prob, steps, seed)
+
+
+def drive_against(reference, kind, capacity, per_exponent, filter_prob, steps, seed):
+    """Play steps (see REPLAY_STEPS) into a buffer and into reference,
+    asserting equal push indices, eligible counts and sampled indices."""
     c = cfg(kind)
     buf = ReplayBuffer(c, capacity=capacity, per_exponent=per_exponent,
                        type_filter_prob=filter_prob)
-    ref = BruteForceReplay(capacity=capacity, trial_kind=c.uses_trial_reward,
-                           per_exponent=per_exponent, filter_prob=filter_prob,
-                           trial_discount=c.trial_discount)
+    ref = reference(capacity=capacity, trial_kind=c.uses_trial_reward,
+                    per_exponent=per_exponent, filter_prob=filter_prob,
+                    trial_discount=c.trial_discount)
     rng_a, rng_b = random.Random(seed), random.Random(seed)
     trial, step, abandoned = 0, 0, []
     for atype, success, instant, predicted, then, late, draws in steps:
@@ -389,6 +400,64 @@ def test_sampling_matches_the_brute_force_reference(kind, capacity, per_exponent
             assert buf.sample(rng_a, atype, success) == ref.sample(rng_b, atype, success)
 
 
+# REPLAY_STEPS with rewards and predictions from three values, so equal
+# surprises and zero surprises (-0.0 keys) are common, and more draws.
+RANK_STEPS = st.lists(
+    st.tuples(st.sampled_from(["grasp", "place"]), st.booleans(),
+              st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0]),
+              st.sampled_from(["continue", "complete", "fail", "abandon"]),
+              st.booleans(), st.integers(0, 4)),
+    min_size=1, max_size=40)
+
+
+@given(
+    kind=st.sampled_from(["base", "progress", "trial_sr", "trial_progress"]),
+    capacity=st.integers(1, 6),
+    per_exponent=st.sampled_from([0.25, 2.0]),
+    filter_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    steps=RANK_STEPS,
+    seed=st.integers(0, 2**16),
+)
+# A late finalize ranks an old id (1) inside a run of -0.0 keys, between an
+# older (0) and a newer (2) id.
+@example(kind="trial_sr", capacity=8, per_exponent=0.25, filter_prob=0.5,
+         steps=[("grasp", True, 0.0, 0.0, "complete", False, 0),
+                ("grasp", True, 0.0, 0.0, "abandon", False, 0),
+                ("grasp", False, 0.0, 0.0, "complete", True, 4)],
+         seed=1)
+# A finalize re-ranks an instant kind's old ids (the completed last step's
+# surprise doubles): id 1 leaves a run of equal keys that id 0 heads.
+@example(kind="base", capacity=8, per_exponent=0.25, filter_prob=0.0,
+         steps=[("grasp", True, 0.5, 0.0, "continue", False, 1),
+                ("place", True, 0.5, 0.0, "complete", False, 2),
+                ("grasp", True, 1.0, 0.0, "fail", False, 4)],
+         seed=2)
+def test_rank_store_matches_plain_tuple_lists(kind, capacity, per_exponent, filter_prob,
+                                              steps, seed):
+    """The typed-array rank lists, with their newest-id insert and their
+    equal-key run search, draw the same index stream and count the same
+    eligible experiences as sorted lists of (-surprise, index) tuples kept
+    by insort and list.remove, over pushes, finalizes, late finalizes and
+    evictions."""
+    drive_against(TupleRankReplay, kind, capacity, per_exponent, filter_prob, steps, seed)
+
+
+def test_get_raises_key_error_outside_the_live_ids():
+    """Negative, evicted and not-yet-pushed ids raise KeyError, before and
+    after the evicted prefix is dropped; a negative id never wraps round to
+    a live experience."""
+    buf = ReplayBuffer(cfg(), capacity=2)
+    for i in range(6):
+        buf.push(exp(i, trial=i))  # evicts trial i - 2
+        live = {i - 1, i} if i else {0}
+        for j in range(-3, i + 3):
+            if j in live:
+                assert buf.get(j).state == ("s", j)
+            else:
+                with pytest.raises(KeyError):
+                    buf.get(j)
+
+
 @given(
     kind=st.sampled_from(["base", "trial_progress"]),
     capacity=st.integers(1, 8),
@@ -408,7 +477,15 @@ def test_trial_id_bounds_match_the_brute_force_reference(kind, capacity, steps):
             list(ref.trials.items())
         assert {t for t, r in buf._trials.items() if r.finalized} == \
             ref.finalized & ref.trials.keys()
-        assert sorted(buf._entries) == sorted(ref.entries)
+        assert len(buf) == len(ref.entries)
+        for i in range(ref.next_index + 1):
+            if i in ref.entries:
+                e, r = buf.get(i), ref.entries[i]
+                assert (e.trial_id, e.action_type, e.success) == \
+                    (r["trial_id"], r["atype"], r["success"])
+            else:
+                with pytest.raises(KeyError):
+                    buf.get(i)  # evicted, or (the last) not yet pushed
 
     trial, step, abandoned = 0, 0, []
     for atype, success, instant, predicted, then, late, _ in steps:

@@ -34,11 +34,10 @@ bytes there and no Python objects. An insert or a remove is a bisect plus a
 C-level shift of both arrays. An insert whose id is above every ranked id
 (every push; a trial kind's in-order finalize) is one ``bisect_right`` on the
 keys. Any other insert, and a remove, bisects the ids inside the run of equal
-keys (many surprises are 0, so runs are long), unless the id heads its run,
-as an evicted id always does. ``sample`` reads its drawn id with an O(1)
-array index. At finalize, an instant-kind entry is
-re-ranked only when its surprise changes: an equal surprise is the identical
-key, so its rank is unchanged.
+keys (many surprises are 0, so runs are long). ``sample`` reads its drawn id
+with an O(1) array index. At finalize, an instant-kind entry is re-ranked
+only when its surprise changes: an equal surprise is the identical key, so
+its rank is unchanged.
 
 Experiences live in a list indexed by ``id - base``. Eviction removes the
 oldest ids, so evicted slots (set to None) are always a prefix; that prefix
@@ -312,11 +311,8 @@ class ReplayBuffer:
 def _seek(keys: array, ids: array, key: float, idx: int) -> tuple[int, bool]:
     """Where (key, idx) sits, or would go, in a rank list sorted by
     (key, id), and whether it is there: a bisect of the ids inside the run
-    of keys equal to key, skipped when idx heads that run (as an evicted id
-    always does: every lower id went before it)."""
+    of keys equal to key."""
     lo = bisect_left(keys, key)
-    if lo < len(ids) and ids[lo] == idx:
-        return lo, keys[lo] == key
     hi = bisect_right(keys, key, lo)
     pos = bisect_left(ids, idx, lo, hi)
     return pos, pos < hi and ids[pos] == idx

@@ -540,71 +540,6 @@ class BruteForceReplay:
         return candidates[bisect.bisect_right(cum, rng.random() * cum[n - 1], 0, n - 1)][1]
 
 
-class TupleRankReplay:
-    """Surprise-ranked sampling over plain sorted lists of ``(-surprise,
-    index)`` tuples, one for all eligible entries and one per (action type,
-    success) group, kept up to date by ``insort`` and ``list.remove``.
-
-    Trial bookkeeping, backfill and eviction are a wrapped
-    ``BruteForceReplay``'s; this class only maintains the rank lists
-    incrementally: a push ranks (instant kinds) and evictions unrank, a
-    finalize unranks every ranked step of the trial and ranks it again
-    under its new surprise.
-    """
-
-    def __init__(self, **kw):
-        self.plain = BruteForceReplay(**kw)
-        self.ranked = {}  # index -> (its key, its group's list)
-        self.order = []
-        self.groups = {}
-
-    def _rank(self, i):
-        e = self.plain.entries[i]
-        reward = e["trial"] if e["trial"] is not None else e["instant"]
-        key = (-abs(reward - e["predicted"]), i)
-        group = self.groups.setdefault((e["atype"], e["success"]), [])
-        self.ranked[i] = (key, group)
-        bisect.insort(self.order, key)
-        bisect.insort(group, key)
-
-    def _unrank(self, i):
-        key, group = self.ranked.pop(i)
-        self.order.remove(key)
-        group.remove(key)
-
-    def push(self, **kw):
-        i = self.plain.push(**kw)
-        for j in [j for j in self.ranked if j not in self.plain.entries]:
-            self._unrank(j)  # evicted
-        if not self.plain.trial_kind:
-            self._rank(i)
-        return i
-
-    def finalize(self, trial_id, completed):
-        if trial_id not in self.plain.trials or trial_id in self.plain.finalized:
-            return
-        self.plain.finalize(trial_id, completed)
-        for i in self.plain.trials[trial_id]:
-            if i in self.ranked:
-                self._unrank(i)
-            self._rank(i)
-
-    @property
-    def eligible(self):
-        return len(self.order)
-
-    def sample(self, rng, last_atype, last_success):
-        candidates = self.order
-        if rng.random() < self.plain.filter_prob:
-            group = self.groups.get((last_atype, not last_success))
-            if group:
-                candidates = group
-        n = len(candidates)
-        cum = list(itertools.accumulate(
-            (r + 1) ** (-self.plain.per_exponent) for r in range(n)))
-        return candidates[bisect.bisect_right(cum, rng.random() * cum[n - 1], 0, n - 1)][1]
-
-
 # ---------------------------------------------------------------------------
 # Full corridor learner mirror
 # ---------------------------------------------------------------------------

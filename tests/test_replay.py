@@ -19,7 +19,7 @@ from spotrl.replay import (
 from spotrl.rewards import RewardConfig
 
 from oracles import (BruteForceReplay, CountingRandom, ForbiddenRandom, KeyFeatures,
-                     MirrorReplay, ScriptedRandom, TupleRankReplay, reference_apply_update)
+                     MirrorReplay, ScriptedRandom, reference_apply_update)
 
 WEIGHTS = {"grasp": 1.0, "place": 1.25, "push": 0.5}
 
@@ -436,10 +436,10 @@ def test_rank_store_matches_plain_tuple_lists(kind, capacity, per_exponent, filt
                                               steps, seed):
     """The typed-array rank lists, with their newest-id insert and their
     equal-key run search, draw the same index stream and count the same
-    eligible experiences as sorted lists of (-surprise, index) tuples kept
-    by insort and list.remove, over pushes, finalizes, late finalizes and
-    evictions."""
-    drive_against(TupleRankReplay, kind, capacity, per_exponent, filter_prob, steps, seed)
+    eligible experiences as a plain sorted list of (-surprise, index)
+    tuples, over pushes, finalizes, late finalizes and evictions with many
+    equal and -0.0 keys."""
+    drive_against(BruteForceReplay, kind, capacity, per_exponent, filter_prob, steps, seed)
 
 
 def test_get_raises_key_error_outside_the_live_ids():

@@ -3,13 +3,15 @@
 ``train`` and ``sweep`` read an optional flat ``key = value`` config file;
 explicit flags override file values, and ``--set`` overrides both. Exit
 codes: 0 success, 1 sweep with crashed cells, 2 invalid configuration or
-arguments, 3 I/O failure.
+arguments, 3 I/O failure. Commands raise; ``main`` alone turns a failure
+into its ``error:`` line and exit code.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import harness
@@ -22,22 +24,40 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+class WriteError(Exception):
+    """A failed artifact write: exits with ``code``, and its message is the
+    stderr line after ``error: ``."""
+
+    code = EXIT_IO
+
+
+@contextmanager
+def _writing(what: str):
+    """Turn an OSError in the block into a WriteError naming ``what``."""
     try:
-        text = Path(path).read_text()
+        yield
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return harness.parse_config_text(text)
+        raise WriteError(f"cannot write {what}: {exc}") from None
 
 
-def _apply_set_overrides(values: dict[str, str], pairs: list[str]) -> None:
-    for pair in pairs:
+def _settings(args: argparse.Namespace) -> dict[str, str]:
+    """The config file's values, overridden by every flag given, then by
+    each ``--set``."""
+    values: dict[str, str] = {}
+    if args.config is not None:
+        try:
+            values = harness.parse_config_text(Path(args.config).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+    for key, flag in vars(args).items():
+        if flag is not None and key not in ("command", "func", "config", "set"):
+            values[key] = str(flag)
+    for pair in args.set:
         key, sep, value = pair.partition("=")
         if not sep or not key.strip():
             raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
         values[key.strip()] = value.strip()
+    return values
 
 
 def _common_run_flags(p: argparse.ArgumentParser) -> None:
@@ -50,28 +70,10 @@ def _common_run_flags(p: argparse.ArgumentParser) -> None:
                    help="override any config key (repeatable)")
 
 
-def _merge_flags(args: argparse.Namespace, values: dict[str, str]) -> None:
-    """Fold explicit flags over the config-file values (flags win)."""
-    for key in ("env", "task", "seed", "budget", "out", "cell", "cells", "seeds", "workers"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = str(flag)
-    _apply_set_overrides(values, args.set)
-
-
 def cli_train(args: argparse.Namespace) -> int:
-    try:
-        values = _load_config_file(args.config)
-        _merge_flags(args, values)
-        rc = harness.resolve_run_config(values)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+    rc = harness.resolve_run_config(_settings(args))
+    with _writing("run artifacts"):
         summary = harness.run_single(rc)
-    except OSError as exc:
-        print(f"error: cannot write run artifacts: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"run {summary['run_id']}: completion_rate={summary['completion_rate']:.3f} "
           f"mean_efficiency={summary['mean_efficiency']:.3f} "
           f"convergence_actions={summary['convergence_actions']}")
@@ -81,26 +83,21 @@ def cli_train(args: argparse.Namespace) -> int:
 
 def cli_eval(args: argparse.Namespace) -> int:
     if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--trials must be at least 1")
     out_path = Path(args.out) if args.out else harness.output_root() / "eval.json"
     if out_path.suffix == ".csv":
-        print(f"error: --out {out_path} is where the trial CSV goes; "
-              "give the JSON another suffix", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--out {out_path} is where the trial CSV goes; "
+                          "give the JSON another suffix")
     model_path = Path(args.model)
     if not model_path.is_file():
-        print(f"error: model file not found: {model_path}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"model file not found: {model_path}")
     try:
         q, fields = harness.load_qdump(model_path)
         rc = harness.header_run_config(fields)
     except ConfigError as exc:
-        print(f"error: model header: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"model header: {exc}") from None
     except (ValueError, KeyError) as exc:
-        print(f"error: cannot parse model file: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot parse model file: {exc}") from None
 
     use_mask = rc.use_mask if args.mask is None else args.mask
     env_factory = rc.make_env
@@ -108,11 +105,9 @@ def cli_eval(args: argparse.Namespace) -> int:
         try:
             env = rc.make_env(Path(args.scenario).read_text())
         except OSError as exc:
-            print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"cannot read scenario file: {exc}") from None
         except (ValueError, RuntimeError) as exc:
-            print(f"error: bad scenario file: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"bad scenario file: {exc}") from None
         env_factory = lambda: env
 
     summary, trials = evaluate(q, env_factory, args.trials, seed=args.seed,
@@ -126,33 +121,19 @@ def cli_eval(args: argparse.Namespace) -> int:
         "mean_efficiency": summary["mean_efficiency"],
         "success_rates": summary["success_rates"],
     }
-    try:
+    with _writing(str(out_path)):
         out_path.parent.mkdir(parents=True, exist_ok=True)
         harness.write_json(out_path, payload)
         harness.write_csv(out_path.with_suffix(".csv"), harness.TRIAL_COLUMNS,
                            harness.trial_csv_rows(trials))
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cli_sweep(args: argparse.Namespace) -> int:
-    try:
-        values = _load_config_file(args.config)
-        _merge_flags(args, values)
-        spec = harness.resolve_experiment_spec(values)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        crashes, cell_summaries = harness.run_sweep(spec)
-    except OSError as exc:
-        print(f"error: cannot write sweep artifacts: {exc}", file=sys.stderr)
-        return EXIT_IO
-    table = harness.format_aligned(harness.SWEEP_COLUMNS,
-                                   harness.sweep_table_rows(cell_summaries))
+    spec = harness.resolve_experiment_spec(_settings(args))
+    with _writing("sweep artifacts"):
+        crashes, table = harness.run_sweep(spec)
     print(table, end="")
     print(f"artifacts: {spec.out}")
     for rc, tb, written in crashes:
@@ -162,9 +143,7 @@ def cli_sweep(args: argparse.Namespace) -> int:
         else:
             print(f"error: run {rc.out} crashed and its error.txt could not be written:\n"
                   f"{tb}", end="", file=sys.stderr)
-    if crashes:
-        return EXIT_FAILED_CELLS
-    return EXIT_OK
+    return EXIT_FAILED_CELLS if crashes else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,8 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

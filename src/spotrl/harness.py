@@ -42,6 +42,7 @@ import os
 import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Optional, TextIO
 
@@ -566,12 +567,6 @@ def _run_single_safe(rc: RunConfig) -> dict | tuple[str, bool]:
         return tb, True
 
 
-def _min_max(values: list[float]) -> tuple[Optional[float], Optional[float]]:
-    if not values:
-        return None, None
-    return min(values), max(values)
-
-
 def summarize_cell(label: str, seeds: list[int], results: dict[int, dict],
                    failures: dict[int, str]) -> dict:
     """Min/max metrics across a cell's seeds.
@@ -581,29 +576,24 @@ def summarize_cell(label: str, seeds: list[int], results: dict[int, dict],
     and listed under ``failures``.
     """
     use_mask, use_spotq, kind = parse_cell(label)
-    comp = [results[s]["completion_rate"] for s in seeds if s in results]
-    eff = [results[s]["mean_efficiency"] for s in seeds if s in results]
-    conv = [results[s]["convergence_actions"] for s in seeds
-            if s in results and results[s]["convergence_actions"] is not None]
-    comp_min, comp_max = _min_max(comp)
-    eff_min, eff_max = _min_max(eff)
-    conv_min, conv_max = _min_max(conv)
-    return {
+    done = [results[s] for s in seeds if s in results]
+    conv = [r["convergence_actions"] for r in done if r["convergence_actions"] is not None]
+    cs = {
         "cell": label,
         "use_mask": use_mask,
         "use_spotq": use_spotq,
         "reward_kind": kind,
         "seeds": list(seeds),
-        "seeds_completed": len(comp),
+        "seeds_completed": len(done),
         "seeds_converged": len(conv),
-        "completion_rate_min": comp_min,
-        "completion_rate_max": comp_max,
-        "efficiency_min": eff_min,
-        "efficiency_max": eff_max,
-        "convergence_actions_min": conv_min,
-        "convergence_actions_max": conv_max,
         "failures": {str(s): failures[s].strip().splitlines()[-1] for s in sorted(failures)},
     }
+    for name, values in (("completion_rate", [r["completion_rate"] for r in done]),
+                         ("efficiency", [r["mean_efficiency"] for r in done]),
+                         ("convergence_actions", conv)):
+        cs[f"{name}_min"] = min(values, default=None)
+        cs[f"{name}_max"] = max(values, default=None)
+    return cs
 
 
 def _pct(value: Optional[float]) -> str:
@@ -611,11 +601,14 @@ def _pct(value: Optional[float]) -> str:
 
 
 def _range_cell(lo: Optional[float], hi: Optional[float], fmt) -> str:
-    if lo is None:
-        return fmt(None)
+    """``fmt(lo)``, or a ``lo-hi`` range; a None ``lo`` comes with a None ``hi``."""
     if lo == hi:
         return fmt(lo)
     return f"{fmt(lo)}-{fmt(hi)}"
+
+
+def _count(value: Optional[int]) -> str:
+    return "none" if value is None else str(int(value))
 
 
 def _conv_cell(cs: dict) -> str:
@@ -623,15 +616,9 @@ def _conv_cell(cs: dict) -> str:
     standing in for any seed that never converged."""
     if cs["completion_rate_min"] is None:
         return "error" if cs["failures"] else "none"
-    lo, hi = cs["convergence_actions_min"], cs["convergence_actions_max"]
-    if lo is None:
-        return "none"
     all_converged = cs["seeds_converged"] == cs["seeds_completed"]
-    if not all_converged:
-        return f"{int(lo)}-none"
-    if lo == hi:
-        return str(int(lo))
-    return f"{int(lo)}-{int(hi)}"
+    return _range_cell(cs["convergence_actions_min"],
+                       cs["convergence_actions_max"] if all_converged else None, _count)
 
 
 def sweep_table_rows(cell_summaries: list[dict]) -> list[tuple[str, ...]]:
@@ -661,12 +648,12 @@ def format_aligned(columns: tuple[str, ...], rows: list[tuple[str, ...]]) -> str
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(spec: ExperimentSpec) -> tuple[list[tuple[RunConfig, str, bool]], list[dict]]:
-    """Run every cell×seed, write per-cell summaries and the combined table.
-
-    Returns (crashes, cell summaries); a crash is (run, traceback, whether
-    the traceback was written to the run's ``error.txt``). The table goes to
-    ``<out>/sweep.csv`` and ``<out>/sweep.txt``.
+def run_sweep(spec: ExperimentSpec) -> tuple[list[tuple[RunConfig, str, bool]], str]:
+    """Run every cell×seed, write per-cell summaries and the combined table
+    (``<out>/sweep.csv`` and ``<out>/sweep.txt``); ``spec.runs`` is
+    cell-major, so each cell's runs form one group. Returns (crashes, the
+    ``sweep.txt`` text); a crash is (run, traceback, whether the traceback
+    was written to the run's ``error.txt``).
     """
     out_root = Path(spec.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -680,26 +667,22 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[tuple[RunConfig, str, bool]], 
     else:
         outcomes = [_run_single_safe(rc) for rc in spec.runs]
 
-    # cell -> (seeds, results by seed, failures by seed), in run order
-    cells: dict[str, tuple[list[int], dict[int, dict], dict[int, str]]] = {}
-    crashes = []
-    for rc, outcome in zip(spec.runs, outcomes):
-        seeds, results, failures = cells.setdefault(rc.cell, ([], {}, {}))
-        seeds.append(rc.seed)
-        if isinstance(outcome, dict):
-            results[rc.seed] = outcome
-        else:
-            failures[rc.seed] = outcome[0]
-            crashes.append((rc, *outcome))
-
-    cell_summaries = []
-    for label, (seeds, results, failures) in cells.items():
+    crashes, rows = [], []
+    for label, runs in groupby(zip(spec.runs, outcomes), key=lambda pair: pair[0].cell):
+        seeds, results, failures = [], {}, {}
+        for rc, outcome in runs:
+            seeds.append(rc.seed)
+            if isinstance(outcome, dict):
+                results[rc.seed] = outcome
+            else:
+                failures[rc.seed] = outcome[0]
+                crashes.append((rc, *outcome))
         cs = summarize_cell(label, seeds, results, failures)
         (out_root / label).mkdir(parents=True, exist_ok=True)
         write_json(out_root / label / "summary.json", cs)
-        cell_summaries.append(cs)
+        rows += sweep_table_rows([cs])
 
-    rows = sweep_table_rows(cell_summaries)
     write_csv(out_root / "sweep.csv", SWEEP_COLUMNS, rows)
-    (out_root / "sweep.txt").write_text(format_aligned(SWEEP_COLUMNS, rows))
-    return crashes, cell_summaries
+    table = format_aligned(SWEEP_COLUMNS, rows)
+    (out_root / "sweep.txt").write_text(table)
+    return crashes, table

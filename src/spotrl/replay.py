@@ -378,7 +378,10 @@ def train_step(
     if mask_fn is not None:
         return apply_update(e, q, mask_fn, cfg, alpha, tie_rng)
     # No mask, no extra target: apply_update's executed target and update
-    # inline, the same arithmetic without building SpotQTargets.
+    # inline, the same arithmetic without building SpotQTargets. Sending
+    # this case through apply_update made the grid-replay benchmark run
+    # (run_single wall) 1.20x slower in the median and 1.09x at best over 12
+    # alternating runs on 2 CPUs, with identical artifacts.
     target = training_reward(e, cfg)
     if not e.terminal:
         target += cfg.learn_discount * q.best_value(e.next_state)

@@ -66,17 +66,9 @@ def masked_ties(q: QFunction, state: Hashable, mask: ActionMask) -> tuple[int, .
         if allowed:
             return allowed
     values = q.row(state)
-    best = None
-    scanned: list[int] = []
-    for a, ok in enumerate(mask):  # one pass: cheaper than max() then a filter
-        if ok:
-            v = values[a]
-            if best is None or v > best:
-                best = v
-                scanned = [a]
-            elif v == best:
-                scanned.append(a)
-    return tuple(scanned)
+    actions = [a for a, ok in enumerate(mask) if ok]
+    best = max(values[a] for a in actions)
+    return tuple(a for a in actions if values[a] == best)
 
 
 def masked_argmax(q: QFunction, state: Hashable, mask: Optional[ActionMask],

@@ -646,19 +646,29 @@ def test_cli_train_set_overrides(tmp_path):
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
-    assert main(["train", "--cell", "mask+banana", "--out", str(tmp_path)]) == 2
-    assert main(["train", "--set", "nonsense", "--out", str(tmp_path)]) == 2
-    assert main(["eval", "--model", str(tmp_path / "missing.txt")]) == 2
-    assert main(["sweep", "--cells", "none+base", "--seeds", "0",
-                 "--out", str(tmp_path)]) == 2  # a single seed is not a sweep
-    assert main(["sweep", "--cells", "none+base", "--seeds", "0,0",
-                 "--out", str(tmp_path)]) == 2
-    assert main(["sweep", "--cells", "none+base,none+base", "--seeds", "0,1",
-                 "--set", "seed=3", "--out", str(tmp_path)]) == 2
-    assert main(["sweep", "--env", "blockworld", "--cells", "none+base", "--seeds", "0,1",
-                 "--set", "cell=spotq+sr", "--out", str(tmp_path / "cell")]) == 2
+    """Each bad argument exits 2 with its own first stderr line."""
+    missing = tmp_path / "missing.txt"
+    cases = [
+        (["train", "--cell", "mask+banana", "--out", str(tmp_path)],
+         "error: unknown cell token 'banana' in 'mask+banana'"),
+        (["train", "--set", "nonsense", "--out", str(tmp_path)],
+         "error: --set expects KEY=VALUE, got 'nonsense'"),
+        (["eval", "--model", str(missing)], f"error: model file not found: {missing}"),
+        (["sweep", "--cells", "none+base", "--seeds", "0", "--out", str(tmp_path)],
+         "error: a sweep needs at least two seeds (min/max reporting)"),
+        (["sweep", "--cells", "none+base", "--seeds", "0,0", "--out", str(tmp_path)],
+         "error: duplicate seeds in sweep"),
+        (["sweep", "--cells", "none+base,none+base", "--seeds", "0,1",
+          "--set", "seed=3", "--out", str(tmp_path)],
+         "error: sweeps take 'seeds' (a list), not 'seed'"),
+        (["sweep", "--env", "blockworld", "--cells", "none+base", "--seeds", "0,1",
+          "--set", "cell=spotq+sr", "--out", str(tmp_path / "cell")],
+         "error: sweeps take 'cells' (a list), not 'cell'"),
+    ]
+    for argv, first_line in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.splitlines()[0] == first_line
     assert not (tmp_path / "cell").exists()
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("settings", [
@@ -711,7 +721,8 @@ def test_cli_io_errors_exit_3(tmp_path, capsys):
                  "--set", "validation_every=0", "--set", "eval_trials=1",
                  "--set", "log_steps=false"])
     assert code == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines()[0].startswith(
+        "error: cannot write run artifacts: ")
 
 
 

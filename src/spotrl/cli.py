@@ -47,7 +47,7 @@ def _settings(args: argparse.Namespace) -> dict[str, str]:
     if args.config is not None:
         try:
             values = harness.parse_config_text(Path(args.config).read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
     for key, flag in vars(args).items():
         if flag is not None and key not in ("command", "func", "config", "set"):
@@ -92,8 +92,7 @@ def cli_eval(args: argparse.Namespace) -> int:
     if not model_path.is_file():
         raise ConfigError(f"model file not found: {model_path}")
     try:
-        q, fields = harness.load_qdump(model_path)
-        rc = harness.header_run_config(fields)
+        q, rc = harness.load_qdump(model_path)
     except ConfigError as exc:
         raise ConfigError(f"model header: {exc}") from None
     except (ValueError, KeyError) as exc:
@@ -117,9 +116,7 @@ def cli_eval(args: argparse.Namespace) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "use_mask": use_mask,
-        "completion_rate": summary["completion_rate"],
-        "mean_efficiency": summary["mean_efficiency"],
-        "success_rates": summary["success_rates"],
+        **summary,
     }
     with _writing(str(out_path)):
         out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -127,6 +127,9 @@ class GridWorld:
                 layout = self._layouts[gaps]
                 if layout is not None:
                     break
+                if (len(self._layouts) == len(GAP_ROWS) ** len(LAVA_COLUMNS)
+                        and not any(self._layouts.values())):
+                    raise GenerationError("no gap draw gives a solvable layout")
             self.cells, self._dist, self._layout_key, self._ideal = layout
         elif not self.cells:
             raise GenerationError("no layout: reset needs a seed the first time")

@@ -251,12 +251,7 @@ class RunConfig:
         return f"{self.cell}-s{self.seed}"
 
     def reward_config(self) -> RewardConfig:
-        return RewardConfig(
-            weights=dict(self.weights),
-            trial_discount=self.trial_discount,
-            learn_discount=self.learn_discount,
-            reward_kind=self.reward_kind,
-        )
+        return RewardConfig(**{name: getattr(self, name) for name in _REWARD_FIELDS})
 
     def agent_config(self) -> AgentConfig:
         return AgentConfig(
@@ -303,10 +298,12 @@ _KEY_PARSERS: dict[str, Callable[[str], object]] = {
     if f.name not in _NON_KEY_FIELDS
 }
 # RunConfig settings a qtable.txt header records beside environment.
-_HEADER_KEYS = ("cell", "seed", "task", "goal_size", "num_blocks")
+_HEADER_KEYS = ("cell", "seed", "task", "goal_size", "num_blocks", "action_limit")
 # AgentConfig fields that RunConfig holds under the same name.
 _AGENT_FIELDS = tuple(f.name for f in dataclass_fields(AgentConfig)
                       if f.name not in ("reward", "training_action_budget"))
+# RewardConfig fields, all held by RunConfig under the same name.
+_REWARD_FIELDS = tuple(f.name for f in dataclass_fields(RewardConfig))
 
 
 def resolve_run_config(values: dict[str, str]) -> RunConfig:
@@ -359,16 +356,6 @@ def resolve_run_config(values: dict[str, str]) -> RunConfig:
         **resolved,
     )
     return rc if out else replace(rc, out=str(output_root() / rc.run_id))
-
-
-def header_run_config(fields: dict[str, str]) -> RunConfig:
-    """The run settings a qtable.txt header names (see qdump_header); every
-    other setting is the environment's default."""
-    values = {"env": fields.get("environment", "gridworld")}
-    for key in _HEADER_KEYS:
-        if key in fields:
-            values[key] = fields[key]
-    return resolve_run_config(values)
 
 
 # -- run artifacts --------------------------------------------------------
@@ -469,35 +456,39 @@ def run_single(rc: RunConfig) -> dict:
         "seed": rc.seed,
         "training_trials": len(records),
         "convergence_actions": convergence,
-        "completion_rate": summary["completion_rate"],
-        "mean_efficiency": summary["mean_efficiency"],
-        "success_rates": summary["success_rates"],
         "eval_trials": rc.eval_trials,
+        **summary,
     }
     write_json(run_dir / "summary.json", payload)
     return payload
 
 
 def qdump_header(rc: RunConfig) -> dict[str, str]:
-    """Header fields stored in qtable.txt so eval can rebuild the setup
-    (header_run_config). Values must be single whitespace-free tokens (the
-    header is one space-separated line)."""
+    """Header fields stored in qtable.txt so load_qdump can rebuild the
+    setup; an unset (None) setting is left out. Values must be single
+    whitespace-free tokens (the header is one space-separated line)."""
     header = {"environment": rc.environment}
     for key in _HEADER_KEYS:
-        header[key] = str(getattr(rc, key))
+        if getattr(rc, key) is not None:
+            header[key] = str(getattr(rc, key))
     return header
 
 
-def load_qdump(path: Path) -> tuple[QFunction, dict[str, str]]:
-    """Rebuild a Q-function (and its header fields) from a qtable.txt."""
+def load_qdump(path: Path) -> tuple[QFunction, RunConfig]:
+    """Rebuild a Q-function from a qtable.txt, with the RunConfig its header
+    names (see qdump_header): every setting it leaves out is the
+    environment's default."""
     fields, rows = parse_qdump(path.read_text())
-    q = header_run_config(fields).make_q()
+    values = {"env": fields.get("environment", "gridworld")}
+    values.update((key, fields[key]) for key in _HEADER_KEYS if key in fields)
+    rc = resolve_run_config(values)
+    q = rc.make_q()
     if (fields.get("kind"), fields.get("n_actions")) != (q.kind, str(q.n_actions)):
         raise ValueError(f"header kind={fields.get('kind')} n_actions={fields.get('n_actions')}"
-                         f" does not match the {fields.get('environment')} env's"
+                         f" does not match the {rc.environment} env's"
                          f" {q.kind} Q over {q.n_actions} actions")
     q.load_records(rows)
-    return q, fields
+    return q, rc
 
 
 # -- sweeps ---------------------------------------------------------------

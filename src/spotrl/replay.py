@@ -325,23 +325,21 @@ def apply_update(
     cfg: RewardConfig,
     alpha: float,
     tie_rng: random.Random,
-    reward: Optional[float] = None,
 ) -> float:
-    """Train Q on one experience: executed target plus, when the mask
-    disallows the unrestricted greedy action, the extra zero-reward target.
+    """Train Q on one experience, on its ``training_reward``: executed
+    target plus, when the mask disallows the unrestricted greedy action, the
+    extra zero-reward target.
 
     Both predictions are read before either update is applied, so the
     reported loss and the pair of targets come from one consistent view of
     Q: the masked entry is read first, then the executed update returns the
     executed entry's prior value. Returns the summed huber loss.
     """
-    if reward is None:
-        reward = training_reward(e, cfg)
     state = e.state
     t = spotq.targets(
         state=state,
         action_id=e.action_id,
-        reward=reward,
+        reward=training_reward(e, cfg),
         next_state=e.next_state,
         terminal=e.terminal,
         q=q,

@@ -5,10 +5,10 @@ Per executed action, in deterministic interleaved order: select (epsilon-
 greedy over the allowed set), step the environment, run k prioritized
 replay updates on the buffer as it stood before this action (the replay
 filter is anchored on the previously pushed sample), push the new
-experience, backfill trial rewards if the trial just ended, then apply one
-immediate update on the new experience with its instant reward. Every
-random draw comes from a named derived stream, so identical configs
-reproduce identical runs bit for bit.
+experience, apply one immediate update on it (on its instant reward: its
+trial reward is not yet backfilled), then backfill trial rewards if the
+trial just ended. Every random draw comes from a named derived stream, so
+identical configs reproduce identical runs bit for bit.
 
 During training only, and only for the shaped reward kinds, a situation-
 removal check after each step can cut the trial short: the step's reward
@@ -313,14 +313,12 @@ def run_training(
             )
             buf.push(e)
             actions_done += 1
+            replay.apply_update(e, q, target_mask_fn, rcfg, cfg.learning_rate, tie_rng)
 
             if terminal:
                 buf.finalize_trial(trial_id, outcome.task_complete)
                 termination = (TERMINATION_SR if sr_cut
                                else termination_label(outcome.task_complete, event))
-
-            replay.apply_update(e, q, target_mask_fn, rcfg, cfg.learning_rate, tie_rng,
-                                reward=e.instant_reward)
             traces.append(StepTrace(e, epsilon, masked_flag, outcome.progress_after))
 
             if cfg.validation_every and actions_done % cfg.validation_every == 0:

@@ -453,6 +453,15 @@ def test_reset_without_layout_fails():
         GridWorld().reset()
 
 
+@pytest.mark.parametrize("kwargs", [{"start": (3, 2)}, {"goal": (0, 0)}])
+def test_reset_fails_when_no_gap_draw_is_solvable(kwargs):
+    """A start on a lava column or a goal on a wall leaves every gap draw
+    unsolvable: reset raises once it has surveyed them all, not redraws
+    forever."""
+    with pytest.raises(GenerationError, match="no gap draw"):
+        GridWorld(**kwargs).reset(0)
+
+
 def test_reset_reuses_layout_without_seed():
     g = GridWorld.generate(4)
     layout = g.state()[3]

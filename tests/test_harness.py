@@ -488,11 +488,11 @@ def test_steps_csv_matches_trials(trained_run):
 def test_qtable_artifact_round_trips(trained_run):
     """Reloading qtable.txt rebuilds a Q-function that evaluates identically."""
     rc, run_dir, payload = trained_run
-    q, fields = harness.load_qdump(run_dir / "qtable.txt")
+    q, loaded = harness.load_qdump(run_dir / "qtable.txt")
     assert isinstance(q, LinearQ)
-    assert fields["kind"] == "linear"
-    assert fields["environment"] == "blockworld"
-    assert fields["cell"] == "spotq+trial_progress"
+    assert q.kind == "linear"
+    assert loaded.environment == "blockworld"
+    assert loaded.cell == "spotq+trial_progress"
     assert q.records()
     summary, _ = evaluate(q, rc.make_env, rc.eval_trials,
                           seed=rc.eval_seed_offset + rc.seed, use_mask=rc.use_mask)
@@ -727,10 +727,16 @@ def test_cli_io_errors_exit_3(tmp_path, capsys):
 
 
 def test_cli_unreadable_config_file_exits_2(tmp_path, capsys):
+    """A missing config file, and one that is not UTF-8 text, exit 2 with
+    an error line for both train and sweep."""
+    (tmp_path / "binary.conf").write_bytes(b"env = \xff\xfe\n")
     out = tmp_path / "run"
-    assert main(["train", "--config", str(tmp_path / "missing.conf"), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot read config file")
-    assert not out.exists()
+    for command in ("train", "sweep"):
+        for name in ("missing.conf", "binary.conf"):
+            code = main([command, "--config", str(tmp_path / name), "--out", str(out)])
+            assert code == 2, (command, name)
+            assert capsys.readouterr().err.startswith("error: cannot read config file")
+            assert not out.exists()
 
 
 def test_cli_sweep_out_under_a_file_exits_3(tmp_path, capsys):
@@ -871,6 +877,20 @@ def trained_grid(tmp_path_factory):
     })
     harness.run_single(rc)
     return Path(rc.out)
+
+
+def test_cli_eval_repeats_an_action_limited_run(tmp_path, capsys):
+    """The header records a set action_limit, so eval at the run's own eval
+    seed and trial count writes the run's eval_trials.csv rows."""
+    run = tmp_path / "run"
+    assert main(["train", "--env", "gridworld", "--budget", "200", "--out", str(run),
+                 "--set", "action_limit=12", "--set", "eval_trials=5",
+                 "--set", "validation_every=0", "--set", "log_steps=false"]) == 0
+    assert main(["eval", "--model", str(run / "qtable.txt"), "--seed", "1000",
+                 "--trials", "5", "--out", str(tmp_path / "eval.json")]) == 0
+    capsys.readouterr()
+    assert read_csv(tmp_path / "eval.csv") == read_csv(run / "eval_trials.csv")
+    assert any(r[2] == "12" for r in read_csv(run / "eval_trials.csv")[1])
 
 
 def test_cli_eval_fixed_grid_replay(trained_grid, tmp_path, capsys):

@@ -556,16 +556,6 @@ def test_apply_update_trains_both_targets():
     assert loss == 0.5 * executed_target * executed_target + 0.5 * d * d
 
 
-def test_apply_update_reward_override():
-    """An explicit reward replaces the stored training reward."""
-    c = cfg()
-    q = TabularQ(1)
-    e = exp(0, instant=5.0, terminal=True)
-    e.action_id = 0
-    apply_update(e, q, None, c, 1.0, ForbiddenRandom(), reward=0.25)
-    assert q.value(("s", 0), 0) == 0.25
-
-
 def shared_keys(state):
     """Actions 0 and 1 share one feature across every state, so updating one
     moves the other, at this state and at the next; action 2 has a feature

@@ -310,6 +310,26 @@ def test_situation_removal_cuts_trials():
             assert last.instant_reward > 0
 
 
+def test_the_immediate_update_trains_on_the_instant_reward():
+    """Without replay, a trial reward kind's Q is one instant-reward update
+    per experience in order: no update sees a backfilled trial reward."""
+    cfg = chain_cfg(reward=RewardConfig(weights=CHAIN_WEIGHTS, reward_kind="trial_sr",
+                                        learn_discount=0.8),
+                    train_steps_per_action=0)
+    observer = Collector()
+    q, _, _ = run_training(ChainEnv, cfg, observer=observer)
+    traces = [t for _, ts in observer.trials for t in ts]
+    traces += [t for ts in observer.partials for t in ts]
+    assert any(t.experience.trial_reward != t.experience.instant_reward for t in traces)
+    plain = TabularQ(2)
+    for e in (t.experience for t in traces):
+        target = e.instant_reward
+        if not e.terminal:
+            target += cfg.reward.learn_discount * plain.best_value(e.next_state)
+        plain.update(e.state, e.action_id, target, cfg.learning_rate)
+    assert q.records() == plain.records()
+
+
 def test_seed_streams_partition_train_and_eval():
     """Training trials draw env seeds from the low half of the 32-bit space;
     validation and evaluation draw from the high half."""

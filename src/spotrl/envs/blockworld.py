@@ -12,6 +12,7 @@ grasping or pushing with a full gripper, and placing with an empty one.
 from __future__ import annotations
 
 import random
+from itertools import groupby
 from operator import getitem, itemgetter
 from typing import Optional
 
@@ -90,17 +91,14 @@ class BlockWorld:
             action_limit = 30 if task == "clear" else 50
         self.action_limit = action_limit
 
-        self.n_cells = width * height
-        self.n_actions = 6 * self.n_cells  # grasp + place + 4-direction push
-        self.action_types = tuple(
-            GRASP if a < self.n_cells else PLACE if a < 2 * self.n_cells else PUSH
-            for a in range(self.n_actions)
-        )
-        # (type, cell, direction) per action id, direction -1 for non-pushes.
+        self.n_cells = n = width * height
+        # (type, cell, direction) per action id, direction -1 for non-pushes:
+        # grasps, then places, then pushes by cell and direction.
         self._decoded = tuple(
-            (atype, cell, -1 if direction is None else direction)
-            for atype, cell, direction in map(self.decode, range(self.n_actions))
-        )
+            [(GRASP, c, -1) for c in range(n)] + [(PLACE, c, -1) for c in range(n)]
+            + [(PUSH, c, d) for c in range(n) for d in range(len(DIRECTIONS))])
+        self.n_actions = len(self._decoded)
+        self.action_types = tuple(atype for atype, _, _ in self._decoded)
         # Per-cell sequence -> the pushed cell's entry of every push action.
         self._push_cells = itemgetter(*(cell for _, cell, _ in self._decoded[2 * self.n_cells:]))
         # Per-cell heights -> the target cell's height of every action.
@@ -135,16 +133,12 @@ class BlockWorld:
     # -- action coding ----------------------------------------------------
 
     def decode(self, action: int) -> tuple[str, int, Optional[int]]:
-        """action id -> (type, cell index, push direction or None)."""
-        n = self.n_cells
-        if 0 <= action < n:
-            return GRASP, action, None
-        if n <= action < 2 * n:
-            return PLACE, action - n, None
-        if 2 * n <= action < 6 * n:
-            rel = action - 2 * n
-            return PUSH, rel // 4, rel % 4
-        raise ValueError(f"unknown action {action}")
+        """action id -> (type, cell index, push direction or None), read
+        off the action table."""
+        if not 0 <= action < self.n_actions:  # a negative index would wrap
+            raise ValueError(f"unknown action {action}")
+        atype, cell, direction = self._decoded[action]
+        return atype, cell, None if direction < 0 else direction
 
     def cell_xy(self, cell: int) -> tuple[int, int]:
         return cell % self.width, cell // self.width
@@ -267,26 +261,23 @@ class BlockWorld:
 
     def _topple(self, cell: int, extra: Optional[int] = None) -> None:
         """Scatter a stack (plus the held block, when a place caused it) to
-        the nearest empty cells, nearer rings first, seeded-shuffled within
-        each ring. Every scattered block lands as a singleton."""
-        blocks = list(self.stacks[cell])
-        if extra is not None:
-            blocks.append(extra)
+        the nearest empty cells: the free cells in rings of equal Manhattan
+        distance, nearer rings first, each seeded-shuffled until the rings
+        taken hold every block. Every scattered block lands as a singleton."""
+        blocks = self.stacks[cell] + ([] if extra is None else [extra])
         self.stacks[cell] = []
         ox, oy = self.cell_xy(cell)
+        free = sorted((abs(c % self.width - ox) + abs(c // self.width - oy), c)
+                      for c in range(self.n_cells) if c != cell and not self.stacks[c])
         targets: list[int] = []
-        ring = 1
-        while len(targets) < len(blocks):
-            candidates = []
-            for c in range(self.n_cells):
-                x, y = self.cell_xy(c)
-                if abs(x - ox) + abs(y - oy) == ring and not self.stacks[c] and c not in targets:
-                    candidates.append(c)
-            self.rng.shuffle(candidates)
-            targets.extend(candidates)
-            ring += 1
-            if ring > self.width + self.height:
-                raise RuntimeError("no empty cells to scatter onto")
+        for _, ring in groupby(free, key=itemgetter(0)):
+            ring = [c for _, c in ring]
+            self.rng.shuffle(ring)
+            targets += ring
+            if len(targets) >= len(blocks):
+                break
+        else:
+            raise RuntimeError("no empty cells to scatter onto")
         for block, c in zip(blocks, targets):
             self.stacks[c].append(block)
 

@@ -28,6 +28,8 @@ EMPTY, WALL, LAVA, GOAL = ".", "#", "L", "G"
 
 # Headings in clockwise order; index is the heading id.
 HEADINGS = ("N", "E", "S", "W")
+# heading -> (heading after a left turn, heading after a right turn)
+TURNS = {h: (HEADINGS[(i - 1) % 4], HEADINGS[(i + 1) % 4]) for i, h in enumerate(HEADINGS)}
 HEADING_GLYPHS = {"N": "^", "E": ">", "S": "v", "W": "<"}
 DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
 
@@ -252,11 +254,8 @@ class GridWorld:
                     self.terminal = True
                     task_complete = True
                     event = "goal"
-        elif action == TURN_LEFT:
-            self.heading = HEADINGS[(HEADINGS.index(self.heading) - 1) % 4]
-            self.consecutive_turns += 1
-        elif action == TURN_RIGHT:
-            self.heading = HEADINGS[(HEADINGS.index(self.heading) + 1) % 4]
+        elif action in (TURN_LEFT, TURN_RIGHT):
+            self.heading = TURNS[self.heading][action == TURN_RIGHT]
             self.consecutive_turns += 1
         else:
             raise ValueError(f"unknown action {action}")
@@ -327,8 +326,7 @@ class GridWorld:
             x, y, heading = queue.popleft()
             if (x, y) == self.goal:
                 return dist[(x, y, heading)]
-            idx = HEADINGS.index(heading)
-            succs = [(x, y, HEADINGS[(idx - 1) % 4]), (x, y, HEADINGS[(idx + 1) % 4])]
+            succs = [(x, y, turned) for turned in TURNS[heading]]
             dx, dy = DELTAS[heading]
             if self.passable(x + dx, y + dy):
                 succs.append((x + dx, y + dy, heading))

@@ -18,7 +18,8 @@ artifacts to its own directory:
 - ``trials.csv``     per-training-trial log: trial_id, completed, actions,
                      ideal, efficiency, termination
 - ``validation.csv`` greedy-probe results: round, actions, completed, trials
-- ``eval_trials.csv`` held-out greedy evaluation, same columns as trials.csv
+- ``eval_trials.csv`` greedy evaluation on seeds disjoint from training's (start
+                     layouts can repeat), same columns as trials.csv
 - ``summary.json``   run-level metrics, all recomputable from the CSVs
 - ``qtable.txt``     Q-function as sorted text records
 
@@ -311,7 +312,8 @@ def resolve_run_config(values: dict[str, str]) -> RunConfig:
 
     ``values`` maps config keys to unparsed strings (from a config file
     and/or command-line overrides, already merged with flags winning).
-    Unknown keys, unknown environments/cells/tasks, unparseable values and
+    Unknown keys, unknown environments/cells/tasks, a ``weight.<type>`` whose
+    type the environment's default weights do not name, unparseable values and
     values out of range (see RunConfig.__post_init__) raise ConfigError.
     Without ``out`` the run goes to ``output_root() / run_id``.
     """
@@ -329,8 +331,9 @@ def resolve_run_config(values: dict[str, str]) -> RunConfig:
         try:
             if key.startswith("weight."):
                 atype = key[len("weight."):]
-                if not atype:
-                    raise ConfigError("empty action type in weight override")
+                if atype not in weights:
+                    raise ConfigError(f"unknown action type {atype!r} in {key!r} "
+                                      f"(expected one of {tuple(sorted(weights))})")
                 weights[atype] = float(raw)
             elif key in _KEY_PARSERS:
                 resolved[key] = _KEY_PARSERS[key](raw)
@@ -424,6 +427,10 @@ def run_single(rc: RunConfig) -> dict:
     """
     run_dir = Path(rc.out)
     run_dir.mkdir(parents=True, exist_ok=True)
+    # A re-run into the same directory leaves nothing of the run before it.
+    (run_dir / "error.txt").unlink(missing_ok=True)
+    if not rc.log_steps:
+        (run_dir / "steps.csv").unlink(missing_ok=True)
     cfg = rc.agent_config()
     steps_file = open(run_dir / "steps.csv", "w", newline="") if rc.log_steps else nullcontext()
     with steps_file as steps:

@@ -6,8 +6,10 @@ through :func:`derive_seed` so that runs are reproducible across processes
 regardless of ``PYTHONHASHSEED``.
 
 Training and validation/evaluation draw environment seeds from disjoint
-integer ranges so that no layout seen during training can leak into
-validation (``TRAIN_SEED_RANGE`` vs ``EVAL_SEED_RANGE``).
+integer ranges (``TRAIN_SEED_RANGE`` vs ``EVAL_SEED_RANGE``). The seeds are
+disjoint, not the start layouts: the grid has four layouts and a default
+block start is one of C(16, 4) = 1,820 arrangements, so an evaluation
+trial can start where a training trial did.
 """
 from __future__ import annotations
 
@@ -40,5 +42,5 @@ def training_env_seed(rng: random.Random) -> int:
 
 
 def eval_env_seed(rng: random.Random) -> int:
-    """Draw an environment seed from the held-out evaluation half."""
+    """Draw an environment seed from the evaluation half of the seed space."""
     return rng.randrange(*EVAL_SEED_RANGE)

@@ -52,19 +52,13 @@ def masked_ties(q: QFunction, state: Hashable, mask: ActionMask) -> tuple[int, .
 
     When the mask allows one of ``q.ties``, the best allowed value is the
     state's best, so the allowed maximizers are the answer and the row is
-    scanned only when it allows none of them. A lone maximizer the mask
-    allows is returned as the very tuple ``q.ties`` gave.
+    scanned only when it allows none of them.
     """
     if True not in mask:
         raise EmptyActionSpaceError("empty dynamic action space")
-    tied = q.ties(state)
-    if len(tied) == 1:
-        if mask[tied[0]]:
-            return tied
-    else:
-        allowed = tuple([a for a in tied if mask[a]])
-        if allowed:
-            return allowed
+    allowed = tuple([a for a in q.ties(state) if mask[a]])
+    if allowed:
+        return allowed
     values = q.row(state)
     actions = [a for a, ok in enumerate(mask) if ok]
     best = max(values[a] for a in actions)

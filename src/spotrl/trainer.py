@@ -168,10 +168,7 @@ def masked_policy_flag(q: QFunction, state, mask: list, executed_value: float) -
     and the row is not read."""
     if executed_value >= q.best_value(state):
         return False
-    tied = q.ties(state)
-    if len(tied) == 1:
-        return not mask[tied[0]] and True in mask
-    return True in mask and True not in map(mask.__getitem__, tied)
+    return True in mask and True not in map(mask.__getitem__, q.ties(state))
 
 
 def check_allowed(mask: list, action: int) -> None:

@@ -330,6 +330,66 @@ def test_topple_scatters_to_nearest_free_cells():
     assert env.stacks[0] == []
 
 
+def ring_scan_topple(stacks, width, height, rng, cell, extra=None):
+    """The plain reference scatter: for each ring, nearest first, rescan
+    the board for the free cells at that distance and shuffle them."""
+    blocks = list(stacks[cell])
+    if extra is not None:
+        blocks.append(extra)
+    stacks[cell] = []
+    ox, oy = cell % width, cell // width
+    targets = []
+    ring = 1
+    while len(targets) < len(blocks):
+        candidates = []
+        for c in range(width * height):
+            x, y = c % width, c // width
+            if abs(x - ox) + abs(y - oy) == ring and not stacks[c] and c not in targets:
+                candidates.append(c)
+        rng.shuffle(candidates)
+        targets.extend(candidates)
+        ring += 1
+        if ring > width + height:
+            raise RuntimeError("no empty cells to scatter onto")
+    for block, c in zip(blocks, targets):
+        stacks[c].append(block)
+
+
+def test_topple_matches_the_ring_scan_reference():
+    """On random boards, square or not, sparse to full, with and without a
+    held block, a topple leaves the reference's stacks and rng state, and
+    raises where the reference runs out of free cells."""
+    raised = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        width, height = rng.choice([(4, 4), (3, 5), (5, 2), (6, 6)])
+        n = width * height
+        ids = itertools.count()
+        cell = rng.randrange(n)
+        stacks = [[] for _ in range(n)]
+        stacks[cell] = [next(ids) for _ in range(rng.randint(2, 5))]
+        fill = rng.choice([0.1, 0.4, 0.7, 0.85, 1.0])
+        for c in range(n):
+            if c != cell and rng.random() < fill:
+                stacks[c] = [next(ids) for _ in range(rng.randint(1, 3))]
+        extra = next(ids) if rng.random() < 0.5 else None
+        env = BlockWorld(task="clear", num_blocks=n - 1, width=width, height=height)
+        env.stacks = [list(s) for s in stacks]
+        env.rng = random.Random(seed)
+        reference = random.Random(seed)
+        try:
+            ring_scan_topple(stacks, width, height, reference, cell, extra)
+        except RuntimeError:
+            raised += 1
+            with pytest.raises(RuntimeError, match="no empty cells to scatter onto"):
+                env._topple(cell, extra)
+        else:
+            env._topple(cell, extra)
+        assert env.stacks == stacks, seed
+        assert env.rng.getstate() == reference.getstate(), seed
+    assert 0 < raised < 300
+
+
 def test_a_full_board_is_refused_and_one_free_cell_always_scatters():
     """A toppled stack scatters onto free cells, so 16 blocks on the 4x4
     board are refused for every task; with 15, a toppled stack of k always

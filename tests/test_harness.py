@@ -138,9 +138,23 @@ def test_resolution_errors():
 
 
 def test_weight_overrides_merge():
-    rc = harness.resolve_run_config({"env": "blockworld", "weight.place": "3.5",
-                                     "weight.poke": "0.25", "out": "x"})
-    assert rc.weights == {"grasp": 1.0, "place": 3.5, "push": 0.5, "poke": 0.25}
+    rc = harness.resolve_run_config({"env": "blockworld", "weight.place": "3.5", "out": "x"})
+    assert rc.weights == {"grasp": 1.0, "place": 3.5, "push": 0.5}
+    with pytest.raises(ConfigError):
+        harness.resolve_run_config({"env": "blockworld", "weight.poke": "0.25", "out": "x"})
+
+
+@pytest.mark.parametrize("env,atype", [("blockworld", "grap"), ("gridworld", "push"),
+                                       ("gridworld", "Forward")])
+def test_a_weight_for_an_action_type_the_env_lacks_exits_2(env, atype, tmp_path, capsys):
+    """A misspelled or foreign action type would train on the default
+    weight while config.txt records the override beside it."""
+    out = tmp_path / "run"
+    argv = ["train", "--env", env, "--budget", "0", "--out", str(out),
+            "--set", f"weight.{atype}=2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown action type {atype!r}")
+    assert not out.exists()
 
 
 def test_discounted_kind_gets_its_own_trial_discount():
@@ -197,7 +211,7 @@ weight.turn_left = 1.0
 weight.turn_right = 1.0
 """),
     ({"env": "blockworld", "cell": "spotq+trial_progress", "seed": "7", "task": "row",
-      "weight.place": "1.75", "weight.poke": "0.25", "epsilon_decay_steps": "none",
+      "weight.place": "1.75", "weight.grasp": "0.25", "epsilon_decay_steps": "none",
       "log_steps": "false", "out": "x"}, """\
 action_limit = none
 budget = 20000
@@ -224,9 +238,8 @@ trial_discount = 0.65
 type_filter_prob = 0.95
 validation_every = 2000
 validation_trials = 30
-weight.grasp = 1.0
+weight.grasp = 0.25
 weight.place = 1.75
-weight.poke = 0.25
 weight.push = 0.5
 """),
 ]
@@ -259,7 +272,8 @@ def test_every_flat_key_round_trips_a_non_default_value(env):
     default = dict(harness.resolve_run_config({"env": env, "out": "x"}).flat_items())
     assert set(NON_DEFAULT) == {k for k in default
                                 if k != "env" and not k.startswith("weight.")}
-    for key, raw in [*NON_DEFAULT.items(), ("weight.push", "0.125")]:
+    weight = next(k for k in default if k.startswith("weight."))  # a type the env has
+    for key, raw in [*NON_DEFAULT.items(), (weight, "0.125")]:
         assert default.get(key) != raw
         rc = harness.resolve_run_config({"env": env, "out": "x", key: raw})
         flat = dict(rc.flat_items())
@@ -514,6 +528,20 @@ def test_partial_trial_logs_blank_trial_reward(tmp_path):
     finished = {int(r[0]) for r in trial_rows}
     blank = [r for r in step_rows if int(r[1]) not in finished]
     assert blank and all(r[8] == "" for r in blank)
+
+
+def test_a_rerun_leaves_no_file_of_the_run_before(tmp_path):
+    """Re-running into the same directory drops the earlier run's
+    error.txt, and its steps.csv when the new run logs no steps."""
+    values = {"env": "blockworld", "cell": "none+base", "seed": "1", "budget": "60",
+              "validation_every": "0", "eval_trials": "2", "out": str(tmp_path / "run")}
+    harness.run_single(harness.resolve_run_config(values))
+    run_dir = tmp_path / "run"
+    (run_dir / "error.txt").write_text("Traceback: an earlier crash\n")
+    harness.run_single(harness.resolve_run_config({**values, "log_steps": "false"}))
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "config.txt", "eval_trials.csv", "qtable.txt", "summary.json", "trials.csv",
+        "validation.csv"]
 
 
 def test_log_steps_off_skips_the_file(tmp_path):

@@ -18,7 +18,9 @@ class Env(Protocol):
     ``seed``, while one built by ``from_text`` restores its parsed start and
     only reseeds its own dynamics. ``step`` returns (next state, outcome,
     event), where the event names an early end such as ``"lava"`` or is None.
-    ``mask_for`` is False for each action that would certainly fail, and
+    ``mask_for`` is False for each action the env rules out; every ruled-out
+    action would certainly fail, but not every certain failure need be ruled
+    out, and each env's docstring lists what its mask rules out. The mask
     depends on the state alone (greedy probes keep one pick per state).
     Both environments return one object for all equal states, so a long
     replay holds each distinct state once; correctness never rests on it.

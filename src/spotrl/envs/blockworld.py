@@ -6,8 +6,10 @@ a row of K single blocks, or clear every block off the table (grasping
 banks the block directly). Placing onto a tall stack risks toppling it —
 the whole stack scatters to nearby empty cells — and pushing a stack of
 two or more topples it outright, so progress can reverse. The action mask
-rules out the certain failures: grasping or pushing at an empty cell,
-grasping or pushing with a full gripper, and placing with an empty one.
+rules out these certain failures: grasping or pushing at an empty cell,
+grasping or pushing with a full gripper, and placing with an empty one. It
+allows two that always fail: pushing a lone block off the board or onto an
+occupied cell.
 """
 from __future__ import annotations
 

@@ -83,6 +83,8 @@ class GridWorld:
         start: tuple[int, int] = (1, 1),
         goal: tuple[int, int] = (7, 7),
     ):
+        if start == goal:
+            raise ValueError("start and goal must be different cells")
         self.width = width
         self.height = height
         self.action_limit = action_limit
@@ -148,6 +150,13 @@ class GridWorld:
         None when it is unsolvable. The cells are frozen, since every later
         draw of the same gaps shares them."""
         w, h = self.width, self.height
+        for x, y in (self.start, self.goal):
+            if not (0 <= x < w and 0 <= y < h):
+                raise GenerationError(f"cell {(x, y)} is off the {w}x{h} board")
+        if not (all(0 < x < w - 1 for x in LAVA_COLUMNS)
+                and all(0 < y < h - 1 for y in GAP_ROWS)):
+            raise GenerationError(f"the lava columns {LAVA_COLUMNS} and gap rows {GAP_ROWS} "
+                                  f"do not fit inside a {w}x{h} board's border")
         cells = [[EMPTY] * w for _ in range(h)]
         for x in range(w):
             cells[0][x] = cells[h - 1][x] = WALL
@@ -193,9 +202,8 @@ class GridWorld:
         return self.cell(x, y) in (EMPTY, GOAL)
 
     def _wavefront_from(self, origin: tuple[int, int]) -> dict[tuple[int, int], int]:
-        """BFS distances over passable cells; unreachable cells are absent."""
-        if not self.passable(*origin):
-            return {}
+        """BFS distances over passable cells from a passable origin;
+        unreachable cells are absent."""
         dist = {origin: 0}
         queue = deque([origin])
         while queue:

@@ -122,11 +122,10 @@ class ReplayBuffer:
         self.type_filter_prob = type_filter_prob
 
         # Experience of id i at _entries[i - _base]; the first _dead slots
-        # are evicted (None).
+        # are evicted (None). The next push's id is _base + len(_entries).
         self._entries: list[Optional[Experience]] = []
         self._base = 0
         self._dead = 0
-        self._next_id = 0
         # First key the oldest live trial, last the newest: ids arrive in
         # increasing order, eviction pops the oldest and spares the newest.
         self._trials: dict[int, _Trial] = {}
@@ -169,7 +168,7 @@ class ReplayBuffer:
             newest = next(reversed(trials))
             if e.trial_id < newest:
                 raise TrialOrderError(f"trial_id {e.trial_id} precedes current trial {newest}")
-        idx = self._next_id
+        idx = self._base + len(self._entries)
         trial = trials.get(e.trial_id)
         if trial is None:
             trials[e.trial_id] = _Trial(idx, idx + 1)
@@ -178,12 +177,10 @@ class ReplayBuffer:
                 raise TrialOrderError(f"trial {e.trial_id} is already finalized")
             last = self._entries[trial.stop - 1 - self._base]
             if e.step_index <= last.step_index:
-                raise TrialOrderError(
-                    f"step_index {e.step_index} does not advance within trial {e.trial_id}"
-                )
+                raise TrialOrderError(f"step_index {e.step_index} does not advance "
+                                      f"within trial {e.trial_id}")
             trial.stop = idx + 1
 
-        self._next_id = idx + 1
         self._entries.append(e)
         self.last_pushed = e
         if not self.cfg.uses_trial_reward:

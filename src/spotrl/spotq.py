@@ -1,7 +1,7 @@
 """Dynamic action-space masking and the masked Q-learning target.
 
-The mask is a boolean vector marking, per state, which discrete actions are
-not certain to fail. A policy built from :func:`masked_argmax` only ever
+The mask is a boolean vector marking, per state, which discrete actions the
+environment allows; each environment lists the certain failures it rules out. A policy built from :func:`masked_argmax` only ever
 executes allowed actions. During learning, :func:`targets` produces the
 one-step bootstrapped target for the executed action and, whenever the
 *unrestricted* greedy action at the stored state is disallowed by the mask,
@@ -95,6 +95,10 @@ def targets(
     ``reward + learn_discount * max_a Q(next_state, a)``, with the bootstrap
     dropped on terminal transitions (the trial ends there; bootstrapping
     past it would make the target unbounded over an episode).
+
+    ``action_id`` is not read: the executed target does not depend on which
+    action was executed. It is kept for callers that pass a whole transition
+    (``tests/oracles.py`` among them).
 
     When ``mask_fn`` is given, the unrestricted greedy action at ``state``
     is recomputed against the *current* Q-function; if the mask disallows

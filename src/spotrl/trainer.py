@@ -99,12 +99,15 @@ class AgentConfig:
 @dataclass(slots=True)
 class TrialRecord:
     trial_id: int
-    completed: bool
     actions_taken: int
     ideal_actions: int
     attempts: dict = field(default_factory=dict)
     successes: dict = field(default_factory=dict)
     termination: str = TERMINATION_LIMIT
+
+    @property
+    def completed(self) -> bool:
+        return self.termination == TERMINATION_COMPLETE
 
     @property
     def efficiency(self) -> float:
@@ -124,9 +127,8 @@ def trial_record(trial_id: int, ideal: int, termination: str, steps: list) -> Tr
         attempts[s.action_type] = attempts.get(s.action_type, 0) + 1
         if s.success:
             successes[s.action_type] = successes.get(s.action_type, 0) + 1
-    return TrialRecord(trial_id=trial_id, completed=termination == TERMINATION_COMPLETE,
-                       actions_taken=len(steps), ideal_actions=ideal, attempts=attempts,
-                       successes=successes, termination=termination)
+    return TrialRecord(trial_id=trial_id, actions_taken=len(steps), ideal_actions=ideal,
+                       attempts=attempts, successes=successes, termination=termination)
 
 
 @dataclass(slots=True)
@@ -159,15 +161,9 @@ def select_action(
     return masked_argmax(q, state, mask, tie_rng)
 
 
-def masked_policy_flag(q: QFunction, state, mask: list, executed_value: float) -> bool:
-    """True when the mask is doing work: some disallowed action out-values
-    every allowed one. Draw-free, for logging only.
-
-    ``executed_value`` is the value of the executed (so allowed) action;
-    when it is the state's best value no disallowed action can beat it,
-    and the row is not read."""
-    if executed_value >= q.best_value(state):
-        return False
+def masked_policy_flag(q: QFunction, state, mask: list) -> bool:
+    """True when the mask is doing work: it allows none of ``q.ties``, so a
+    disallowed action out-values every allowed one. Draw-free, for logging."""
     return True in mask and True not in map(mask.__getitem__, q.ties(state))
 
 
@@ -276,8 +272,7 @@ def run_training(
             if mask is not None:
                 check_allowed(mask, action)
             predicted = q.value(state, action)
-            masked_flag = (masked_policy_flag(q, state, mask, predicted)
-                           if mask is not None else False)
+            masked_flag = masked_policy_flag(q, state, mask) if mask is not None else False
             next_state, outcome, event = env.step(action)
 
             reward = env.instant_reward_override(outcome, rcfg.reward_kind)
@@ -290,7 +285,7 @@ def run_training(
                     reward = 0.0
             terminal = outcome.terminal or sr_cut
 
-            if buf.last_pushed is not None and buf.eligible > 0:
+            if buf.eligible > 0:
                 for _ in range(cfg.train_steps_per_action):
                     replay.train_step(buf, q, target_mask_fn, rcfg, cfg.learning_rate,
                                       replay_rng, tie_rng)

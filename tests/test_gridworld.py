@@ -462,6 +462,39 @@ def test_reset_fails_when_no_gap_draw_is_solvable(kwargs):
         GridWorld(**kwargs).reset(0)
 
 
+@pytest.mark.parametrize("kwargs", [{"start": (7, 7)}, {"goal": (1, 1)}])
+def test_a_start_on_the_goal_is_refused(kwargs):
+    """A start on the goal leaves no distance to cover (progress would
+    divide by zero on the first step), so the env refuses it when it is
+    built, also from a training run's factory."""
+    with pytest.raises(ValueError):
+        GridWorld(**kwargs)
+    cfg = AgentConfig(reward=RewardConfig(weights=dict.fromkeys(ACTION_TYPES, 1.0),
+                                          reward_kind="progress"),
+                      training_action_budget=10, validation_every=0)
+    with pytest.raises(ValueError):
+        run_training(lambda: GridWorld(**kwargs), cfg)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"width": 5, "height": 5, "goal": (3, 3)}, "border"),
+    ({"width": 6, "height": 9, "goal": (4, 7)}, "border"),
+    ({"width": 9, "height": 6, "goal": (7, 4)}, "border"),
+    ({"goal": (9, 4)}, "off the 9x9 board"),
+    ({"goal": (4, -1)}, "off the 9x9 board"),
+    ({"start": (1, 9)}, "off the 9x9 board"),
+])
+def test_a_seeded_reset_refuses_a_layout_the_board_cannot_hold(kwargs, match):
+    """A lava column or gap row on or past the border would index off the
+    board or lay lava on the border itself, and a start or goal off the
+    board has no cell (a negative index would wrap to the far border), so a
+    seeded reset refuses them. An env that never draws a layout may be any
+    size, and a board parsed from text draws none."""
+    with pytest.raises(GenerationError, match=match):
+        GridWorld(**kwargs).reset(1)
+    assert GridWorld.from_text(SMALL).reset(1) == (1, 1, "E", ((), ()))
+
+
 def test_reset_reuses_layout_without_seed():
     g = GridWorld.generate(4)
     layout = g.state()[3]

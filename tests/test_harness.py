@@ -692,11 +692,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         (["sweep", "--env", "blockworld", "--cells", "none+base", "--seeds", "0,1",
           "--set", "cell=spotq+sr", "--out", str(tmp_path / "cell")],
          "error: sweeps take 'cells' (a list), not 'cell'"),
+        (["train", "--set", "log_steps=maybe", "--out", str(tmp_path / "bool")],
+         "error: not a boolean: 'maybe'"),
+        (["sweep", "--cells", ",", "--seeds", "0,1", "--out", str(tmp_path / "cells")],
+         "error: a sweep needs at least one cell"),
     ]
     for argv, first_line in cases:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.splitlines()[0] == first_line
-    assert not (tmp_path / "cell").exists()
+    for name in ("cell", "bool", "cells"):
+        assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("settings", [
@@ -1005,6 +1010,28 @@ def test_cli_eval_unreachable_grid_goal_exits_2(trained_grid, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: bad scenario file: start unreachable")
     assert not out.exists()
+
+
+def test_cli_eval_skips_blank_model_lines_and_refuses_bad_values(trained_grid, tmp_path,
+                                                                  capsys):
+    """A blank line in a model file is skipped, so the model loads as the
+    file without it does; a record whose value is not a number exits 2."""
+    model = trained_grid / "qtable.txt"
+    header, *records = model.read_text().splitlines()
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("\n".join([header, "", *records, "  "]) + "\n")
+    assert harness.load_qdump(spaced)[0].records() == harness.load_qdump(model)[0].records()
+    assert main(["eval", "--model", str(spaced), "--trials", "2",
+                 "--out", str(tmp_path / "spaced.json")]) == 0
+    capsys.readouterr()
+
+    key, action, _ = records[-1].split("\t")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join([header, *records[:-1], f"{key}\t{action}\t[1]"]) + "\n")
+    assert main(["eval", "--model", str(bad), "--trials", "2",
+                 "--out", str(tmp_path / "bad.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse model file: bad value '[1]'")
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_cli_eval_out_under_a_file_exits_3(trained_grid, tmp_path, capsys):

@@ -99,14 +99,27 @@ def test_epsilon_schedule():
 
 
 def test_trial_record_efficiency():
-    r = TrialRecord(trial_id=0, completed=True, actions_taken=12, ideal_actions=6)
+    done = TERMINATION_COMPLETE
+    r = TrialRecord(trial_id=0, actions_taken=12, ideal_actions=6, termination=done)
     assert r.efficiency == 0.5
-    r = TrialRecord(trial_id=0, completed=True, actions_taken=4, ideal_actions=6)
+    r = TrialRecord(trial_id=0, actions_taken=4, ideal_actions=6, termination=done)
     assert r.efficiency == 1.0  # better than ideal clamps at 1
-    r = TrialRecord(trial_id=0, completed=False, actions_taken=4, ideal_actions=6)
+    r = TrialRecord(trial_id=0, actions_taken=4, ideal_actions=6)
     assert r.efficiency == 0.0
-    r = TrialRecord(trial_id=0, completed=True, actions_taken=0, ideal_actions=6)
+    r = TrialRecord(trial_id=0, actions_taken=0, ideal_actions=6, termination=done)
     assert r.efficiency == 0.0
+
+
+@pytest.mark.parametrize("termination", [TERMINATION_COMPLETE, TERMINATION_LIMIT,
+                                         TERMINATION_SR, TERMINATION_LAVA])
+def test_a_trial_record_is_complete_exactly_when_its_termination_says_so(termination):
+    """A record's outcome is read off its termination, so no record can
+    claim completion under another termination (or the reverse)."""
+    r = TrialRecord(trial_id=0, actions_taken=5, ideal_actions=5, termination=termination)
+    assert r.completed == (termination == TERMINATION_COMPLETE)
+    assert r.efficiency == (1.0 if r.completed else 0.0)
+    with pytest.raises(TypeError):
+        TrialRecord(trial_id=0, completed=True, actions_taken=5, ideal_actions=5)
 
 
 # -- primitives -------------------------------------------------------------
@@ -184,16 +197,13 @@ def test_every_env_step_returns_state_outcome_event():
 
 
 def test_masked_policy_flag():
-    """The last argument is the executed (allowed) action's value."""
     q = TabularQ(3)
     q.update("s", 0, 1.0, 1.0)  # disallowed below
     q.update("s", 1, 0.5, 1.0)
-    assert masked_policy_flag(q, "s", [False, True, True], 0.5) is True
-    assert masked_policy_flag(q, "s", [False, True, True], 0.0) is True
-    assert masked_policy_flag(q, "s", [True, True, False], 1.0) is False
-    assert masked_policy_flag(q, "s", [True, True, False], 0.0) is False
-    assert masked_policy_flag(q, "s", [True, True, True], 0.5) is False  # nothing masked
-    assert masked_policy_flag(q, "s", [False, False, False], 0.0) is False
+    assert masked_policy_flag(q, "s", [False, True, True]) is True
+    assert masked_policy_flag(q, "s", [True, True, False]) is False
+    assert masked_policy_flag(q, "s", [True, True, True]) is False  # nothing masked
+    assert masked_policy_flag(q, "s", [False, False, False]) is False
 
 
 # -- training loop ----------------------------------------------------------
@@ -441,8 +451,8 @@ def plain_greedy_trial(q, env, use_mask, rng):
         if outcome.success:
             successes[outcome.action_type] = successes.get(outcome.action_type, 0) + 1
         completed = outcome.task_complete
-    return TrialRecord(trial_id=0, completed=completed, actions_taken=steps,
-                       ideal_actions=ideal, attempts=attempts, successes=successes,
+    return TrialRecord(trial_id=0, actions_taken=steps, ideal_actions=ideal,
+                       attempts=attempts, successes=successes,
                        termination=termination_label(completed, event))
 
 

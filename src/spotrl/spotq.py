@@ -1,9 +1,10 @@
 """Dynamic action-space masking and the masked Q-learning target.
 
 The mask is a boolean vector marking, per state, which discrete actions the
-environment allows; each environment lists the certain failures it rules out. A policy built from :func:`masked_argmax` only ever
-executes allowed actions. During learning, :func:`targets` produces the
-one-step bootstrapped target for the executed action and, whenever the
+environment allows; each environment lists the certain failures it rules
+out. A policy built from :func:`masked_argmax` only ever executes allowed
+actions. During learning, :func:`targets` produces the one-step
+bootstrapped target for the executed action and, whenever the
 *unrestricted* greedy action at the stored state is disallowed by the mask,
 one extra zero-reward target for that disallowed action — teaching the
 Q-function that masked actions are worthless without ever executing them.

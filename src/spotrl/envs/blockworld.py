@@ -293,11 +293,11 @@ class BlockWorld:
 
     # -- masking ----------------------------------------------------------
 
-    def mask_for(self, state: BlockState) -> list[bool]:
+    def mask_for(self, state: BlockState) -> tuple[bool, ...]:
         """Grasp and push need a free gripper and an occupied cell (for a
         push, the pushed one); place needs a held block. Each state's row
-        is built once and kept as a tuple, equal rows interned as one (every
-        holding state shares a row); each call returns a fresh list of it."""
+        is built once as a tuple, equal rows interned as one (every holding
+        state shares a row), and every call returns that row."""
         row = self._masks.get(state)
         if row is None:
             held, heights = state
@@ -308,11 +308,11 @@ class BlockWorld:
                 occupied = tuple([h > 0 for h in heights])
                 row = occupied + (False,) * n + self._push_cells(occupied)
             row = self._masks[state] = self._mask_rows.setdefault(row, row)
-        return list(row)
+        return row
 
     # -- features ---------------------------------------------------------
 
-    def feature_ids(self, state: BlockState) -> list[int]:
+    def feature_ids(self, state: BlockState) -> tuple[int, ...]:
         """The id of every action's joint indicator feature at ``state``, by
         action id; ``feature_keys[id]`` is the feature key.
 
@@ -322,8 +322,8 @@ class BlockWorld:
         the signature that decides whether an action builds toward the goal
         or reverses it, independent of which cell it is. Apart from the
         target height, a key depends only on (held, tallest height, tallest
-        is unique), so each such signature's ids are resolved once; every
-        call returns a fresh list.
+        is unique), so each such signature's ids are resolved once. The ids
+        come as a tuple, which a reader may keep.
         """
         held, heights = state
         max_h = max(heights)
@@ -331,7 +331,7 @@ class BlockWorld:
         table = self._feature_tables.get(signature)
         if table is None:
             table = self._feature_tables[signature] = self._feature_table(*signature)
-        return list(map(getitem, table, self._action_heights(heights)))
+        return tuple(map(getitem, table, self._action_heights(heights)))
 
     def feature_id(self, key: tuple) -> int:
         """The id of a feature key, assigned the first time it is seen (by a

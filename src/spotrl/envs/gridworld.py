@@ -35,6 +35,8 @@ DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
 
 FORWARD, TURN_LEFT, TURN_RIGHT = 0, 1, 2
 ACTION_TYPES = ("forward", "turn_left", "turn_right")
+# The only two mask rows: turns are always allowed.
+FORWARD_OPEN, FORWARD_BLOCKED = (True, True, True), (False, True, True)
 
 # Lava wall columns and the rows a gap may occupy. The gap band is kept
 # narrow so the layout family stays small enough for a tabular policy to
@@ -63,6 +65,20 @@ class LayoutKey(tuple):
 
     def __hash__(self) -> int:
         return self._hash
+
+
+def _bfs(origin, successors) -> dict:
+    """BFS distances from ``origin`` along ``successors(node)``; unreachable
+    nodes are absent."""
+    dist = {origin: 0}
+    queue = deque([origin])
+    while queue:
+        node = queue.popleft()
+        for nxt in successors(node):
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return dist
 
 
 class GenerationError(RuntimeError):
@@ -174,12 +190,26 @@ class GridWorld:
 
     def _survey(self) -> Optional[tuple]:
         """(distance field, layout key, ideal actions) of the current cells,
-        or None when the start cannot reach the goal. One goal BFS both
-        decides solvability and gives the distance field."""
-        dist = self._wavefront_from(self.goal)
+        or None when the start cannot reach the goal. One BFS from the goal
+        over open cells both decides solvability and gives the distance
+        field; one over (x, y, heading) poses from the start pose gives the
+        fewest actions to any pose on the goal cell."""
+        def open_cells(cell):
+            x, y = cell
+            return [(x + dx, y + dy) for dx, dy in DELTAS.values() if self.passable(x + dx, y + dy)]
+
+        def poses(pose):
+            x, y, heading = pose
+            dx, dy = DELTAS[heading]
+            ahead = [(x + dx, y + dy, heading)] if self.passable(x + dx, y + dy) else []
+            return [(x, y, turned) for turned in TURNS[heading]] + ahead
+
+        dist = _bfs(self.goal, open_cells)
         if self.start not in dist:
             return None
-        return dist, self._compute_layout_key(), self._shortest_pose_path()
+        ideal = min(d for (x, y, _), d in _bfs((*self.start, "E"), poses).items()
+                    if (x, y) == self.goal)
+        return dist, self._compute_layout_key(), ideal
 
     def _compute_layout_key(self) -> LayoutKey:
         """(interior walls, lava cells), each sorted — the observable layout."""
@@ -200,20 +230,6 @@ class GridWorld:
 
     def passable(self, x: int, y: int) -> bool:
         return self.cell(x, y) in (EMPTY, GOAL)
-
-    def _wavefront_from(self, origin: tuple[int, int]) -> dict[tuple[int, int], int]:
-        """BFS distances over passable cells from a passable origin;
-        unreachable cells are absent."""
-        dist = {origin: 0}
-        queue = deque([origin])
-        while queue:
-            x, y = queue.popleft()
-            for dx, dy in DELTAS.values():
-                nxt = (x + dx, y + dy)
-                if nxt not in dist and self.passable(*nxt):
-                    dist[nxt] = dist[(x, y)] + 1
-                    queue.append(nxt)
-        return dist
 
     def distance_field(self) -> dict[tuple[int, int], int]:
         return dict(self._dist)
@@ -293,15 +309,16 @@ class GridWorld:
 
     # -- masking ----------------------------------------------------------
 
-    def mask_for(self, state: GridState) -> list[bool]:
+    def mask_for(self, state: GridState) -> tuple[bool, ...]:
         """Forward is disallowed into lava (fatal) and into walls (certain
         no-op); turning is always allowed. Computed from the state alone so
-        replayed states keep the mask of the layout they came from."""
+        replayed states keep the mask of the layout they came from. Every
+        call returns one of two shared rows."""
         x, y, heading, key = state
         blocked = self._blocked.get(key)
         if blocked is None:
             blocked = self._blocked[key] = self._blocked_poses(key)
-        return [(x, y, heading) not in blocked, True, True]
+        return FORWARD_BLOCKED if (x, y, heading) in blocked else FORWARD_OPEN
 
     def _blocked_poses(self, layout_key: tuple[tuple, tuple]) -> frozenset:
         """Every (x, y, heading) pose on the grid whose forward cell is a
@@ -324,25 +341,6 @@ class GridWorld:
         """Fewest actions (moves + turns) from the start pose to the goal;
         a constant of the layout, found when the layout was surveyed."""
         return self._ideal
-
-    def _shortest_pose_path(self) -> int:
-        """BFS over (x, y, heading) poses from the start pose to the goal."""
-        start_pose = (*self.start, "E")
-        dist = {start_pose: 0}
-        queue = deque([start_pose])
-        while queue:
-            x, y, heading = queue.popleft()
-            if (x, y) == self.goal:
-                return dist[(x, y, heading)]
-            succs = [(x, y, turned) for turned in TURNS[heading]]
-            dx, dy = DELTAS[heading]
-            if self.passable(x + dx, y + dy):
-                succs.append((x + dx, y + dy, heading))
-            for pose in succs:
-                if pose not in dist:
-                    dist[pose] = dist[(x, y, heading)] + 1
-                    queue.append(pose)
-        raise GenerationError("goal unreachable in pose graph")
 
     # -- serialization ----------------------------------------------------
 

@@ -230,8 +230,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Reject what no run can use: no evaluation trial, an action limit
-        below 1, or a setting the trainer, its reward config or the block
-        world rejects."""
+        below 1 or below the fewest actions every generated start needs, or
+        a setting the trainer, its reward config or the block world rejects."""
         if self.eval_trials < 1:
             raise ConfigError("eval_trials must be at least 1")
         if self.action_limit is not None and self.action_limit < 1:
@@ -242,6 +242,15 @@ class RunConfig:
                 check_block_settings(self.task, self.goal_size, self.num_blocks)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+        if self.action_limit is not None:
+            env = self.make_env()
+            if isinstance(env, GridWorld):  # one forward action per cell crossed
+                fewest = sum(abs(g - s) for s, g in zip(env.start, env.goal))
+            else:  # a generated row start can be one push from done
+                fewest = 0 if env.task == "row" else env.ideal_actions()
+            if self.action_limit < fewest:
+                raise ConfigError(f"action_limit {self.action_limit} is below the {fewest} "
+                                  "actions every generated start needs")
 
     @property
     def cell(self) -> str:

@@ -170,13 +170,13 @@ class LinearQ(QFunction):
     ``feature_id(key)`` gives a key's id, assigning one on first sight.
     Weights live in a flat list indexed by id as ``0.0 + weight`` (a loaded
     -0.0 reads 0.0); unseen weights read 0. Each state read gets one
-    record at its first read, kept from then on: its ids (one per action),
-    its distinct ids in order of first occurrence, a getter of their
-    weights and, filled as ``ties`` finds each id best, that id's positions
-    in the ids, which never change. So ``feature_ids`` must be pure and runs
-    once per distinct state. Weights are never cached. A row is one gather
-    from the flat list; ``best_value`` is the maximum of the distinct
-    weights, the same float as the row's.
+    record at its first read, kept from then on: its ids (the row
+    ``feature_ids`` gave, uncopied), its distinct ids in first-seen order,
+    a getter of their weights and, filled as ``ties`` finds each id best,
+    that id's positions in the ids, which never change. So ``feature_ids``
+    must be pure and its rows immutable; it runs once per distinct state.
+    Weights are never cached. A row is one gather from the flat list;
+    ``best_value`` is the maximum of the distinct weights, as in the row.
     """
 
     kind = "linear"
@@ -194,7 +194,7 @@ class LinearQ(QFunction):
     def _entry(self, state: Hashable) -> tuple:
         entry = self._states.get(state)
         if entry is None:
-            ids = tuple(self.features.feature_ids(state))
+            ids = self.features.feature_ids(state)
             self._grow()
             distinct = tuple(dict.fromkeys(ids))
             get = itemgetter(*distinct)

@@ -19,8 +19,8 @@ from typing import Callable, Hashable, Optional, Sequence
 
 from .qfunction import QFunction, draw_tie
 
-# A mask is any sequence of booleans indexed by action id; where a mask is
-# optional, None means every action is allowed.
+# A mask is a sequence of booleans indexed by action id, only ever read (an
+# env may share one row); where a mask is optional, None allows every action.
 ActionMask = Sequence[bool]
 MaskFn = Callable[[Hashable], ActionMask]
 

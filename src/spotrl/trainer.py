@@ -29,7 +29,7 @@ from .envs import Env
 from .qfunction import QFunction, TabularQ, draw_tie
 from .replay import Experience, ReplayBuffer
 from .rewards import ConfigError, RewardConfig, instant_reward
-from .spotq import masked_argmax, masked_ties
+from .spotq import ActionMask, masked_argmax, masked_ties
 
 TERMINATION_COMPLETE = "Complete"
 TERMINATION_LIMIT = "ActionLimit"
@@ -144,7 +144,7 @@ class StepTrace:
 def select_action(
     q: QFunction,
     state,
-    mask: Optional[list],
+    mask: Optional[ActionMask],
     epsilon: float,
     rng: random.Random,
     tie_rng: random.Random,
@@ -161,13 +161,13 @@ def select_action(
     return masked_argmax(q, state, mask, tie_rng)
 
 
-def masked_policy_flag(q: QFunction, state, mask: list) -> bool:
+def masked_policy_flag(q: QFunction, state, mask: ActionMask) -> bool:
     """True when the mask is doing work: it allows none of ``q.ties``, so a
     disallowed action out-values every allowed one. Draw-free, for logging."""
     return True in mask and True not in map(mask.__getitem__, q.ties(state))
 
 
-def check_allowed(mask: list, action: int) -> None:
+def check_allowed(mask: ActionMask, action: int) -> None:
     """Raise if a masked policy picked a disallowed action; unlike an
     assert, the check survives ``python -O``."""
     if not mask[action]:

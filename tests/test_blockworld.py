@@ -736,22 +736,23 @@ def test_features_match_the_per_action_oracle(task, seed, steps):
 @given(**WALKS)
 def test_mask_matches_the_per_action_oracle(task, seed, steps):
     """mask_for gives every action the bool the action-by-action derivation
-    gives it, on held and free states, in a fresh list each call."""
+    gives it, on held and free states; an equal state gets the identical
+    row, which cannot be changed."""
     env, states = walk_states(task, seed, steps)
-    for state in states:
-        mask = env.mask_for(state)
-        assert mask == block_mask(state, env.n_cells)
+    for held, heights in states:
+        mask = env.mask_for((held, heights))
+        assert list(mask) == block_mask((held, heights), env.n_cells)
         assert all(type(ok) is bool for ok in mask)
-        mask[:] = [None] * len(mask)
-        assert env.mask_for(state) == block_mask(state, env.n_cells)
+        assert env.mask_for((held, tuple(list(heights)))) is mask
+        with pytest.raises(TypeError):
+            mask[0] = None
 
 
-def test_mask_memo_is_exact_and_fresh(monkeypatch):
+def test_mask_memo_is_exact_and_shared(monkeypatch):
     """Walks on every task, from scattered and from_text starts, through
     topples and resets: each visited state read twice gives the per-action
-    oracle's mask both times, changing a returned list leaves the next read
-    as it was, and equal rows are one interned tuple, so every holding
-    state shares a single row."""
+    oracle's mask both times, as the same immutable row, and equal rows are
+    one interned tuple, so every holding state shares a single row."""
     calls = {"_topple": 0, "reset": 0}
     for name in calls:
         def counted(*args, _method=getattr(BlockWorld, name), _name=name, **kwargs):
@@ -763,9 +764,10 @@ def test_mask_memo_is_exact_and_fresh(monkeypatch):
         for state in states:
             expected = block_mask(state, env.n_cells)
             first = env.mask_for(state)
-            assert first == expected
-            first[:] = [not ok for ok in first]
-            assert env.mask_for(state) == expected
+            assert list(first) == expected
+            with pytest.raises(TypeError):
+                first[0] = not first[0]
+            assert env.mask_for(state) is first
         rows = list(env._masks.values())
         assert len({id(row) for row in rows}) == len(set(rows))
         held_rows = {id(env._masks[s]) for s in states if s[0]}
@@ -819,18 +821,20 @@ def test_block_q_row_matches_value_bitwise(task, seed, steps, data):
 
 
 @given(**WALKS)
-def test_feature_tables_stay_small_and_rows_fresh(task, seed, steps):
+def test_feature_tables_stay_small_and_rows_immutable(task, seed, steps):
     """The shared id tables hold one entry per (held, tallest height,
     tallest is unique) signature met; each key keeps one id across
-    signatures and calls; and each call returns a new list: changing it
-    leaves the next call's ids as they were."""
+    signatures and calls; and each call returns an immutable row, equal
+    for equal states, that the per-action oracle's keys name."""
     env, states = walk_states(task, seed, steps)
     first_ids = {}
     for state in states:
         ids = env.feature_ids(state)
         for i in ids:
             assert first_ids.setdefault(env.feature_keys[i], i) == i
-        ids[:] = [-1] * len(ids)
+        with pytest.raises(TypeError):
+            ids[0] = -1
+        assert env.feature_ids((state[0], tuple(list(state[1])))) == ids
         assert keys_of(env, state) == [block_feature_key(state, a, env.n_cells)
                                        for a in range(env.n_actions)]
         assert len(env._feature_tables) <= 2 * (env.num_blocks + 1) * 2

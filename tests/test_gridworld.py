@@ -356,11 +356,13 @@ def test_mask_blocks_walls_and_lava_only():
 #...#
 #####
 """)
-    assert g.mask_for(g.state()) == [False, True, True]  # lava dead ahead
+    lava_ahead = g.mask_for(g.state())
+    assert list(lava_ahead) == [False, True, True]  # lava dead ahead
     g.step(TURN_RIGHT)  # face south: empty cell
-    assert g.mask_for(g.state()) == [True, True, True]
+    assert list(g.mask_for(g.state())) == [True, True, True]
     g.step(TURN_RIGHT)  # face west: border wall
-    assert g.mask_for(g.state()) == [False, True, True]
+    assert list(g.mask_for(g.state())) == [False, True, True]
+    assert g.mask_for(g.state()) is lava_ahead  # every blocked pose shares one row
 
 
 def _one_env_per_layout():
@@ -385,7 +387,8 @@ def _one_env_per_layout():
 def test_mask_matches_the_per_pose_oracle():
     """mask_for equals the oracle on every pose of every layout, both on the
     env that drew the layout and on a fresh env that has drawn none (as a
-    replayed state from another layout would be masked)."""
+    replayed state from another layout would be masked). Equal states get
+    the identical row, which cannot be changed."""
     for g in _one_env_per_layout():
         key = g.state()[3]
         stranger = GridWorld(width=g.width, height=g.height)
@@ -394,11 +397,13 @@ def test_mask_matches_the_per_pose_oracle():
                 for heading in "NESW":
                     state = (x, y, heading, key)
                     expected = grid_mask(state, g.width, g.height)
-                    assert g.mask_for(state) == expected, state
-                    assert stranger.mask_for(state) == expected, state
+                    assert list(g.mask_for(state)) == expected, state
+                    assert list(stranger.mask_for(state)) == expected, state
+                    assert g.mask_for((x, y, heading, key)) is g.mask_for(state)
     mask = g.mask_for((1, 1, "E", key))
-    mask[0] = not mask[0]
-    assert g.mask_for((1, 1, "E", key)) != mask  # a fresh list per call
+    with pytest.raises(TypeError):
+        mask[0] = not mask[0]
+    assert list(g.mask_for((1, 1, "E", key))) == grid_mask((1, 1, "E", key), g.width, g.height)
 
 
 def test_mask_is_a_pure_function_of_the_state():
@@ -416,7 +421,7 @@ def test_mask_is_a_pure_function_of_the_state():
                     mask = g.mask_for((x, y, heading, (walls, lavas)))
                     dx, dy = deltas[heading]
                     ahead = g.cell(x + dx, y + dy)
-                    assert mask == [ahead in (".", "G"), True, True]
+                    assert list(mask) == [ahead in (".", "G"), True, True]
 
 
 def test_masked_random_walk_never_enters_lava():

@@ -734,6 +734,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     ("action_limit=0",),
     ("budget=-5",),
     ("num_blocks=16",),
+    ("action_limit=5",),  # a stack of 4 from singletons takes 6 actions
+    ("task=clear", "action_limit=3"),  # clearing 4 blocks takes 4 grasps
+    ("env=gridworld", "action_limit=11"),  # the goal is 12 cells away
 ])
 def test_cli_rejects_settings_no_run_can_use(settings, tmp_path, capsys):
     """A setting that would crash training, or run it to a meaningless
@@ -744,6 +747,19 @@ def test_cli_rejects_settings_no_run_can_use(settings, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("settings", [("action_limit=6",), ("task=row", "action_limit=1")])
+def test_cli_trains_at_the_fewest_actions_a_start_needs(settings, tmp_path, capsys):
+    """An action limit equal to the fewest actions every generated start
+    needs still trains, and the row task has no such bound (the grid's
+    bound is trained at by test_cli_eval_repeats_an_action_limited_run)."""
+    argv = ["train", "--env", "blockworld", "--budget", "30", "--out", str(tmp_path / "run"),
+            "--set", "eval_trials=2", "--set", "validation_every=0", "--set", "log_steps=false"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    assert (tmp_path / "run" / "summary.json").is_file()
 
 
 def test_cli_io_errors_exit_3(tmp_path, capsys):

@@ -229,9 +229,13 @@ class RunConfig:
     log_steps: bool = True
 
     def __post_init__(self):
-        """Reject what no run can use: no evaluation trial, an action limit
-        below 1 or below the fewest actions every generated start needs, or
-        a setting the trainer, its reward config or the block world rejects."""
+        """Reject what no run can use: an unknown environment, no evaluation
+        trial, an action limit below 1 or below the fewest actions every
+        generated start needs, or a setting the trainer, its reward config or
+        the block world rejects."""
+        if self.environment not in ENVIRONMENTS:
+            raise ConfigError(f"unknown environment {self.environment!r} "
+                              f"(expected one of {ENVIRONMENTS})")
         if self.eval_trials < 1:
             raise ConfigError("eval_trials must be at least 1")
         if self.action_limit is not None and self.action_limit < 1:

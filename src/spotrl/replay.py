@@ -27,6 +27,12 @@ equivalence.
 The buffer is append-only up to capacity; eviction removes whole trials,
 oldest first, so backfilled rewards stay coherent.
 
+No per-trial object is kept: the experiences are the trial record. Push
+refuses a trial id below the newest, so trial ids never decrease along the
+live entries, and a trial's ids are the run a bisect on trial id finds
+there. A trial is finalized exactly when its entries carry a trial reward,
+which only :meth:`ReplayBuffer.finalize_trial` writes.
+
 Each rank list (one for all eligible experiences, one per (action type,
 success) group) is two parallel typed arrays sorted by ``(-surprise, id)``:
 ``array("d")`` keys and ``array("q")`` ids, so a ranked experience costs 16
@@ -50,6 +56,7 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable, Optional
 
 from . import rewards, spotq
@@ -96,16 +103,6 @@ def surprise(e: Experience) -> float:
     return abs(reward - e.predicted_q)
 
 
-@dataclass(slots=True)
-class _Trial:
-    """A trial's buffer ids, ``range(start, stop)``: pushes to a trial are
-    consecutive, because no push goes below the newest trial."""
-
-    start: int
-    stop: int
-    finalized: bool = False
-
-
 class ReplayBuffer:
     def __init__(
         self,
@@ -126,9 +123,6 @@ class ReplayBuffer:
         self._entries: list[Optional[Experience]] = []
         self._base = 0
         self._dead = 0
-        # First key the oldest live trial, last the newest: ids arrive in
-        # increasing order, eviction pops the oldest and spares the newest.
-        self._trials: dict[int, _Trial] = {}
         self.last_pushed: Optional[Experience] = None
 
         # Rank lists: keys (-surprise) and ids in parallel, sorted by
@@ -163,50 +157,51 @@ class ReplayBuffer:
 
     def push(self, e: Experience) -> int:
         """Append an experience; returns its buffer index."""
-        trials = self._trials
-        if trials:
-            newest = next(reversed(trials))
-            if e.trial_id < newest:
-                raise TrialOrderError(f"trial_id {e.trial_id} precedes current trial {newest}")
-        idx = self._base + len(self._entries)
-        trial = trials.get(e.trial_id)
-        if trial is None:
-            trials[e.trial_id] = _Trial(idx, idx + 1)
-        else:
-            if trial.finalized:
-                raise TrialOrderError(f"trial {e.trial_id} is already finalized")
-            last = self._entries[trial.stop - 1 - self._base]
-            if e.step_index <= last.step_index:
-                raise TrialOrderError(f"step_index {e.step_index} does not advance "
-                                      f"within trial {e.trial_id}")
-            trial.stop = idx + 1
-
-        self._entries.append(e)
+        if e.trial_reward is not None:
+            raise ValueError("a pushed experience has no trial reward yet: "
+                             "finalize_trial writes it")
+        entries = self._entries
+        if entries:  # the newest trial is never evicted, so entries[-1] is live
+            last = entries[-1]
+            if e.trial_id < last.trial_id:
+                raise TrialOrderError(f"trial_id {e.trial_id} precedes current "
+                                      f"trial {last.trial_id}")
+            if e.trial_id == last.trial_id:
+                if last.trial_reward is not None:
+                    raise TrialOrderError(f"trial {e.trial_id} is already finalized")
+                if e.step_index <= last.step_index:
+                    raise TrialOrderError(f"step_index {e.step_index} does not advance "
+                                          f"within trial {e.trial_id}")
+        idx = self._base + len(entries)
+        entries.append(e)
         self.last_pushed = e
         if not self.cfg.uses_trial_reward:
             self._rank_insert(idx)
-        self._evict_over_capacity(keep_trial=e.trial_id)
+        self._evict_over_capacity()
         return idx
 
     def finalize_trial(self, trial_id: int, completed: bool) -> None:
         """Backfill the trial-level reward for every step of a pushed trial.
 
         Idempotent for an already-finalized trial; a no-op for a trial the
-        buffer has already evicted; unknown trial ids raise KeyError.
+        buffer has already evicted (an id below the oldest live one);
+        unknown trial ids raise KeyError.
         """
-        trial = self._trials.get(trial_id)
-        if trial is None:
-            if self._trials and trial_id < next(iter(self._trials)):
+        entries, dead = self._entries, self._dead
+        start = bisect_left(entries, trial_id, dead, key=_trial_id)
+        stop = bisect_right(entries, trial_id, start, key=_trial_id)
+        if start == stop:
+            if start == dead < len(entries):
                 return  # already evicted
             raise KeyError(f"unknown trial id {trial_id}")
-        if trial.finalized:
-            return
-        base = self._base
-        trial_entries = self._entries[trial.start - base:trial.stop - base]
+        trial_entries = entries[start:stop]
+        if trial_entries[0].trial_reward is not None:
+            return  # already finalized
         filled = rewards.backfill([e.instant_reward for e in trial_entries],
                                   completed, self.cfg)
         trial_kind = self.cfg.uses_trial_reward
-        for idx, e, value in zip(range(trial.start, trial.stop), trial_entries, filled):
+        base = self._base
+        for idx, e, value in zip(range(base + start, base + stop), trial_entries, filled):
             before = surprise(e)
             e.trial_reward = value
             if trial_kind:
@@ -214,7 +209,6 @@ class ReplayBuffer:
             elif surprise(e) != before:
                 self._rank_remove(idx, before)
                 self._rank_insert(idx)
-        trial.finalized = True
 
     # -- sampling ---------------------------------------------------------
 
@@ -286,23 +280,28 @@ class ReplayBuffer:
             del keys[pos]
             del ids[pos]
 
-    def _evict_over_capacity(self, keep_trial: int) -> None:
+    def _evict_over_capacity(self) -> None:
         entries = self._entries
+        newest = entries[-1].trial_id
         while len(entries) - self._dead > self.capacity:
-            oldest_id = next(iter(self._trials))
-            if oldest_id == keep_trial:
+            start = self._dead
+            oldest = entries[start]
+            if oldest.trial_id == newest:
                 break  # never evict the trial currently being written
-            trial = self._trials.pop(oldest_id)
-            ranked = trial.finalized or not self.cfg.uses_trial_reward
-            for idx in range(trial.start, trial.stop):
+            stop = bisect_right(entries, oldest.trial_id, start, key=_trial_id)
+            ranked = oldest.trial_reward is not None or not self.cfg.uses_trial_reward
+            for i in range(start, stop):
                 if ranked:
-                    self._rank_remove(idx)
-                entries[idx - self._base] = None
-            self._dead = trial.stop - self._base
+                    self._rank_remove(self._base + i)
+                entries[i] = None
+            self._dead = stop
         if 2 * self._dead > len(entries):
             del entries[:self._dead]
             self._base += self._dead
             self._dead = 0
+
+
+_trial_id = attrgetter("trial_id")
 
 
 def _seek(keys: array, ids: array, key: float, idx: int) -> tuple[int, bool]:

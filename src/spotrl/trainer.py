@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import replay, seeding, spotq
 from .envs import Env
@@ -98,11 +98,12 @@ class AgentConfig:
 
 @dataclass(slots=True)
 class TrialRecord:
+    """A finished trial's outcome: its length, its layout's fewest actions
+    and how it ended. Slotted and four fields long, since a run keeps one
+    per training trial."""
     trial_id: int
     actions_taken: int
     ideal_actions: int
-    attempts: dict = field(default_factory=dict)
-    successes: dict = field(default_factory=dict)
     termination: str = TERMINATION_LIMIT
 
     @property
@@ -114,21 +115,6 @@ class TrialRecord:
         if not self.completed or self.actions_taken == 0:
             return 0.0
         return min(1.0, self.ideal_actions / self.actions_taken)
-
-
-def trial_record(trial_id: int, ideal: int, termination: str, steps: list) -> TrialRecord:
-    """The record of a finished trial, its per-type attempt and success
-    counts (in first-seen order) taken from its steps: experiences in
-    training, step outcomes in a greedy trial, each with ``action_type``
-    and ``success``."""
-    attempts: dict = {}
-    successes: dict = {}
-    for s in steps:
-        attempts[s.action_type] = attempts.get(s.action_type, 0) + 1
-        if s.success:
-            successes[s.action_type] = successes.get(s.action_type, 0) + 1
-    return TrialRecord(trial_id=trial_id, actions_taken=len(steps), ideal_actions=ideal,
-                       attempts=attempts, successes=successes, termination=termination)
 
 
 @dataclass(slots=True)
@@ -180,20 +166,23 @@ def run_validation(q, env_factory: Callable[[], Env], cfg: AgentConfig, round_in
     number of completed trials. No learning, no situation removal."""
     stream = seeding.stream(cfg.seed, f"val-{round_index}")
     trials = probe(q, env_factory, cfg.validation_trials, cfg.use_mask, stream)
-    return sum(t.completed for t in trials)
+    return sum(record.completed for record, _ in trials)
 
 
 def probe(q, env_factory: Callable[[], Env], n_trials: int, use_mask: bool,
-          rng: random.Random) -> list[TrialRecord]:
-    """``n_trials`` greedy trials on one fresh env, sharing one tie memo."""
+          rng: random.Random) -> Iterator[tuple[TrialRecord, list]]:
+    """``n_trials`` greedy trials on one fresh env, sharing one tie memo;
+    yields each trial's ``run_greedy_trial`` pair as the trial ends."""
     env = env_factory()
     ties: dict = {}
-    return [run_greedy_trial(q, env, use_mask, rng, ties) for _ in range(n_trials)]
+    for _ in range(n_trials):
+        yield run_greedy_trial(q, env, use_mask, rng, ties)
 
 
 def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random,
-                     ties: Optional[dict] = None) -> TrialRecord:
-    """One greedy trial on a fresh evaluation-range seed.
+                     ties: Optional[dict] = None) -> tuple[TrialRecord, list]:
+    """One greedy trial on a fresh evaluation-range seed; returns its record
+    (trial id 0) and its step outcomes.
 
     ``ties`` maps each state already acted in to its allowed tie tuple
     (``masked_ties``, or ``q.ties`` without the mask); a probe shares one
@@ -219,7 +208,8 @@ def run_greedy_trial(q, env: Env, use_mask: bool, rng: random.Random,
         state, outcome, event = env.step(draw_tie(tied, rng))
         outcomes.append(outcome)
     completed = bool(outcomes) and outcomes[-1].task_complete
-    return trial_record(0, ideal, termination_label(completed, event), outcomes)
+    termination = termination_label(completed, event)
+    return TrialRecord(0, len(outcomes), ideal, termination), outcomes
 
 
 def run_training(
@@ -325,8 +315,7 @@ def run_training(
             state = next_state
 
         if termination is not None:
-            record = trial_record(trial_id, ideal, termination,
-                                  [t.experience for t in traces])
+            record = TrialRecord(trial_id, len(traces), ideal, termination)
             records.append(record)
             if observer is not None:
                 observer.on_trial(record, traces)
@@ -347,19 +336,20 @@ def evaluate(
     """Greedy-policy evaluation on fresh evaluation-range seeds.
 
     Efficiency is ideal/actual clamped to 1, averaged over completed trials
-    only (0 when nothing completed). Also reports per-type success rates.
+    only (0 when nothing completed). Also reports per-type success rates,
+    tallied from each trial's step outcomes as the trial ends.
     """
-    trials = [replace(t, trial_id=i) for i, t in enumerate(
-        probe(q, env_factory, n_trials, use_mask, seeding.stream(seed, "eval")))]
-    done = [t for t in trials if t.completed]
+    trials = []
     attempts, successes = Counter(), Counter()
-    for t in trials:
-        attempts.update(t.attempts)
-        successes.update(t.successes)
+    stream = seeding.stream(seed, "eval")
+    for i, (record, outcomes) in enumerate(probe(q, env_factory, n_trials, use_mask, stream)):
+        trials.append(replace(record, trial_id=i))
+        attempts.update(o.action_type for o in outcomes)
+        successes.update(o.action_type for o in outcomes if o.success)
+    done = [t for t in trials if t.completed]
     summary = {
         "completion_rate": len(done) / n_trials if n_trials else 0.0,
         "mean_efficiency": (sum(t.efficiency for t in done) / len(done)) if done else 0.0,
         "success_rates": {k: successes[k] / attempts[k] for k in sorted(attempts)},
     }
     return summary, trials
-

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,9 @@ def test_resolution_errors():
         harness.resolve_run_config({"weight.": "2.0", "out": "x"})
     with pytest.raises(ConfigError):
         harness.resolve_run_config({"weight.place": "heavy", "out": "x"})
+    rc = harness.resolve_run_config({"out": "x"})
+    with pytest.raises(ConfigError, match="gridwrld"):  # no block world for a typo
+        replace(rc, environment="gridwrld")
 
 
 def test_weight_overrides_merge():
@@ -1366,3 +1370,30 @@ def test_block_training_writes_the_same_artifacts_under_python_O(tmp_path):
     for artifact in ("qtable.txt", "trials.csv", "summary.json"):
         assert (tmp_path / "optimized" / artifact).read_bytes() == \
             (tmp_path / "plain" / artifact).read_bytes(), artifact
+
+
+@pytest.mark.parametrize("env_name,cell,budget", [
+    ("blockworld", "spotq+trial_progress", 1_500),
+    ("gridworld", "spotq+progress", 3_000),
+])
+def test_training_writes_the_same_artifacts_under_any_hash_seed(env_name, cell, budget,
+                                                                tmp_path):
+    """Runs do not depend on PYTHONHASHSEED: a short training run writes
+    byte-identical files, every one of them, under two hash seeds. Each run
+    writes to the same relative directory, so config.txt's out matches."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    runs = {}
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-m", "spotrl", "train", "--env", env_name,
+                        "--cell", cell, "--budget", str(budget), "--out", "run",
+                        "--set", "validation_every=500",
+                        "--set", "stop_on_convergence=false"],
+                       env=env, cwd=cwd, capture_output=True, check=True, timeout=300)
+        runs[hash_seed] = {p.name: p.read_bytes() for p in sorted((cwd / "run").iterdir())}
+    assert {"qtable.txt", "trials.csv", "eval_trials.csv", "summary.json", "steps.csv",
+            "validation.csv", "config.txt"} <= runs["0"].keys()
+    assert runs["0"] == runs["12345"]

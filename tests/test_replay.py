@@ -69,6 +69,32 @@ def test_push_rejects_disorder():
         buf.push(exp(2, trial=1, step=1))  # the trial is closed
 
 
+@pytest.mark.parametrize("kind", ["base", "trial_progress"])
+def test_push_rejects_an_experience_with_its_trial_reward_set(kind):
+    """Only finalize_trial writes a trial reward, and a trial's finalized flag
+    is read off its entries' trial rewards, so a push that arrives with one
+    set raises and leaves the buffer as it was."""
+    buf = ReplayBuffer(cfg(kind), capacity=2)
+    buf.push(exp(0, trial=0, step=0))
+    buf.push(exp(1, trial=1, step=0))
+
+    def contents():
+        return (len(buf), buf.eligible, buf.last_pushed, list(buf._entries), buf._base,
+                buf._dead, list(buf._all_ids), list(buf._all_keys))
+
+    before = contents()
+    for trial, step in ((1, 1), (2, 0)):  # the open trial, and a new one
+        e = exp(2, trial=trial, step=step)
+        e.trial_reward = 1.0
+        with pytest.raises(ValueError):
+            buf.push(e)
+        assert contents() == before
+    buf.finalize_trial(1, True)  # trial 1 is still open and still finalizes
+    assert buf.get(1).trial_reward is not None
+    with pytest.raises(KeyError):
+        buf.get(2)
+
+
 def test_instant_kinds_are_eligible_immediately():
     buf = ReplayBuffer(cfg("base"))
     buf.push(exp(0))
@@ -473,19 +499,23 @@ def test_trial_id_bounds_match_the_brute_force_reference(kind, capacity, steps):
                            per_exponent=2.0, filter_prob=0.5, trial_discount=c.trial_discount)
 
     def check():
-        assert [(t, list(range(r.start, r.stop))) for t, r in buf._trials.items()] == \
-            list(ref.trials.items())
-        assert {t for t, r in buf._trials.items() if r.finalized} == \
-            ref.finalized & ref.trials.keys()
+        trials, filled = {}, {}
         assert len(buf) == len(ref.entries)
         for i in range(ref.next_index + 1):
             if i in ref.entries:
                 e, r = buf.get(i), ref.entries[i]
                 assert (e.trial_id, e.action_type, e.success) == \
                     (r["trial_id"], r["atype"], r["success"])
+                trials.setdefault(e.trial_id, []).append(i)
+                filled.setdefault(e.trial_id, set()).add(e.trial_reward is not None)
             else:
                 with pytest.raises(KeyError):
                     buf.get(i)  # evicted, or (the last) not yet pushed
+        assert list(trials.items()) == list(ref.trials.items())
+        # A trial is finalized exactly when all of its entries carry a trial reward.
+        assert all(len(flags) == 1 for flags in filled.values())
+        assert {t for t, flags in filled.items() if True in flags} == \
+            ref.finalized & ref.trials.keys()
 
     trial, step, abandoned = 0, 0, []
     for atype, success, instant, predicted, then, late, _ in steps:

@@ -231,8 +231,9 @@ def test_training_is_bitwise_deterministic():
 
 
 def test_trial_accounting_invariants():
-    """Observer-visible bookkeeping adds up: one trace per action, attempts
-    match traces, terminations label completion correctly, trial ids grow."""
+    """Observer-visible bookkeeping adds up: one trace per action, action
+    counts match traces, terminations label completion correctly, trial ids
+    grow."""
     cfg = AgentConfig(
         reward=RewardConfig(weights=GRID_WEIGHTS, reward_kind="progress",
                             learn_discount=0.9),
@@ -253,9 +254,6 @@ def test_trial_accounting_invariants():
     assert len(observer.partials) <= 1
     for record, traces in observer.trials:
         assert len(traces) == record.actions_taken
-        assert sum(record.attempts.values()) == record.actions_taken
-        for k, v in record.successes.items():
-            assert v <= record.attempts[k]
         assert record.completed == (record.termination == TERMINATION_COMPLETE)
         assert traces[-1].experience.terminal
         for trace in traces:
@@ -431,29 +429,26 @@ def test_greedy_trials_respect_the_mask():
     env = GridWorld()
     q = TabularQ(3)
     for _ in range(30):
-        record = run_greedy_trial(q, env, True, rng)
+        record, outcomes = run_greedy_trial(q, env, True, rng)
+        assert record.actions_taken == len(outcomes)
         assert record.termination in (TERMINATION_COMPLETE, TERMINATION_LIMIT)
         assert record.termination != TERMINATION_LAVA
 
 
 def plain_greedy_trial(q, env, use_mask, rng):
     """A greedy trial without a memo: every step scans the state's row under
-    a fresh mask."""
+    a fresh mask. Returns its record and its step outcomes."""
     state = env.reset(seeding.eval_env_seed(rng))
     ideal = env.ideal_actions()
-    attempts, successes = {}, {}
-    steps, completed, event = 0, False, None
+    outcomes, completed, event = [], False, None
     while not env.terminal:
         mask = env.mask_for(state) if use_mask else None
         state, outcome, event = env.step(scan_pick(q.row(state), mask, rng))
-        steps += 1
-        attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
-        if outcome.success:
-            successes[outcome.action_type] = successes.get(outcome.action_type, 0) + 1
+        outcomes.append(outcome)
         completed = outcome.task_complete
-    return TrialRecord(trial_id=0, actions_taken=steps, ideal_actions=ideal,
-                       attempts=attempts, successes=successes,
-                       termination=termination_label(completed, event))
+    record = TrialRecord(trial_id=0, actions_taken=len(outcomes), ideal_actions=ideal,
+                         termination=termination_label(completed, event))
+    return record, outcomes
 
 
 PROBE_RUNS = {
@@ -486,51 +481,43 @@ def test_a_shared_probe_memo_matches_an_unmemoized_greedy_loop(name, use_mask, s
     env, plain_env = factory(), factory()
     ties, steps = {}, 0
     for _ in range(6):
-        record = run_greedy_trial(q, env, use_mask, rng, ties)
-        steps += record.actions_taken
-        assert (record, rng.getstate()) == \
+        trial = run_greedy_trial(q, env, use_mask, rng, ties)
+        steps += trial[0].actions_taken
+        assert (trial, rng.getstate()) == \
             (plain_greedy_trial(q, plain_env, use_mask, plain_rng), plain_rng.getstate())
     assert len(ties) < steps  # the memo answered some steps
 
     stream = seeding.stream(seed, "eval")
-    expected = [replace(plain_greedy_trial(q, plain_env, use_mask, stream), trial_id=i)
+    expected = [replace(plain_greedy_trial(q, plain_env, use_mask, stream)[0], trial_id=i)
                 for i in range(8)]
     assert evaluate(q, factory, 8, seed, use_mask)[1] == expected
 
     val_cfg = replace(cfg, seed=seed, use_mask=use_mask, use_spotq=use_mask)
     stream = seeding.stream(seed, "val-3")
-    completed = sum(plain_greedy_trial(q, plain_env, use_mask, stream).completed
+    completed = sum(plain_greedy_trial(q, plain_env, use_mask, stream)[0].completed
                     for _ in range(val_cfg.validation_trials))
     assert run_validation(q, factory, val_cfg, 3) == completed
 
 
-
+@pytest.mark.parametrize("use_mask", [True, False])
 @pytest.mark.parametrize("name", sorted(PROBE_RUNS))
-def test_training_records_recount_their_own_steps(name):
-    """Each finished training trial's attempt and success counts are a
-    per-step recount over its traces, in first-seen key order, held in
-    plain dicts."""
-    factory, weights, kind, budget = PROBE_RUNS[name]
-    cfg = AgentConfig(reward=RewardConfig(weights=weights, reward_kind=kind), seed=7,
-                      training_action_budget=budget, use_mask=True, use_spotq=True,
-                      validation_every=0)
-    q = LinearQ(factory()) if factory is BlockWorld else TabularQ(factory().n_actions)
-    observer = Collector()
-    run_training(factory, cfg, q=q, observer=observer)
-    assert observer.trials
-    kinds = set()
-    for record, traces in observer.trials:
-        attempts, successes = {}, {}
-        for trace in traces:
-            e = trace.experience
-            attempts[e.action_type] = attempts.get(e.action_type, 0) + 1
-            if e.success:
-                successes[e.action_type] = successes.get(e.action_type, 0) + 1
-        assert type(record.attempts) is dict and type(record.successes) is dict
-        assert list(record.attempts.items()) == list(attempts.items())
-        assert list(record.successes.items()) == list(successes.items())
-        kinds.add((len(attempts) > 1, bool(successes)))
-    assert (True, True) in kinds  # some trial mixes action types and succeeds
+def test_success_rates_recount_the_unmemoized_greedy_outcomes(name, use_mask):
+    """evaluate's per-type success rates, tallied trial by trial, equal a
+    recount over the step outcomes of greedy trials that scan every step's
+    row, with sorted keys and each rate an int over an int."""
+    factory, _, q = probed_run(name)
+    stream, plain_env = seeding.stream(11, "eval"), factory()
+    attempts, successes = {}, {}
+    for _ in range(12):
+        for outcome in plain_greedy_trial(q, plain_env, use_mask, stream)[1]:
+            attempts[outcome.action_type] = attempts.get(outcome.action_type, 0) + 1
+            successes[outcome.action_type] = successes.get(outcome.action_type, 0) + \
+                outcome.success
+    assert len(attempts) > 1 and 0 < sum(successes.values()) < sum(attempts.values())
+    rates = evaluate(q, factory, 12, 11, use_mask)[0]["success_rates"]
+    assert list(rates) == sorted(attempts)
+    assert rates == {k: successes[k] / attempts[k] for k in sorted(attempts)}
+
 
 def test_a_disallowed_pick_raises(monkeypatch):
     """The mask check is an exception, not an assert, so it also holds under

@@ -144,7 +144,8 @@ def cell_label(use_mask: bool, use_spotq: bool, reward_kind: str) -> str:
 # -- flat config files ----------------------------------------------------
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; '#' starts a comment; blank lines skipped."""
+    """Flat ``key = value`` lines; '#' starts a comment; blank lines skipped;
+    a key set twice is an error."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -153,7 +154,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set")
+        values[key] = value.strip()
     return values
 
 

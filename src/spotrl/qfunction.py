@@ -12,19 +12,16 @@ Two implementations share the interface:
   owns the feature ids (one per action at each state); the weights are a
   flat list indexed by id.
 
-Reads come in two shapes: ``value(state, a)`` is one entry, and
-``row(state)`` is the list of every action's value at ``state``, each entry
-bit-for-bit equal to ``value(state, a)``. Anything that scans the action set
-(masked greedy picks, ``best_value``) reads one row, so a state is looked up
-or featurized once per scan rather than once per action. ``ties(state)`` is
-the one argmax read: every action holding the state's best value, in
-ascending order, the same tuple a scan of the row lists. Greedy picks draw
-among it (``draw_tie``), masked picks filter it. ``LinearQ`` keeps one
-record per state it has read (its feature ids and their distinct subset),
-so a state is featurized once per Q-function, and a row is one gather from
-the flat weights; ``best_value`` and ``ties`` read only the state's
-distinct ids (12-18 of the block world's 96), because actions sharing an
-id share its weight. The records grow with the distinct states visited.
+There are three reads. ``value(state, a)`` is one entry: a prediction, or a
+masked target's bootstrap. ``best_value(state)`` is the maximum over the
+full action set: the executed target's bootstrap. ``ties(state)`` is the
+one argmax read: every action holding the state's best value, in ascending
+order. Greedy picks draw among it (``draw_tie``), masked picks filter it.
+``LinearQ`` keeps one record per state it has read (its feature ids and
+their distinct subset), so a state is featurized once per Q-function;
+``best_value`` and ``ties`` read only the state's distinct ids (12-18 of
+the block world's 96), because actions sharing an id share its weight. The
+records grow with the distinct states visited.
 
 Updates blend toward a supplied target: ``Q <- Q + lr * (target - Q)``,
 and return the value they blended from, the same float ``value()`` read
@@ -59,15 +56,12 @@ def _positions(seq, x) -> tuple[int, ...]:
 
 
 class QFunction:
-    """Interface: value / row / ties / update plus text serialization."""
+    """Interface: value / best_value / ties / update plus text records."""
 
     n_actions: int
+    kind: str  # the dump header's ``kind`` field
 
     def value(self, state: Hashable, action_id: int) -> float:
-        raise NotImplementedError
-
-    def row(self, state: Hashable) -> list[float]:
-        """[Q(state, a) for every action a], equal to value() entry by entry."""
         raise NotImplementedError
 
     def update(self, state: Hashable, action_id: int, target: float, lr: float) -> float:
@@ -77,13 +71,12 @@ class QFunction:
 
     def best_value(self, state: Hashable) -> float:
         """max_a Q(state, a) over the full action set."""
-        return max(self.row(state))
+        raise NotImplementedError
 
     def ties(self, state: Hashable) -> tuple[int, ...]:
         """Every action holding the state's best value, ascending: the
         argmax over the full action set, before any tie is broken."""
-        values = self.row(state)
-        return _positions(values, max(values))
+        raise NotImplementedError
 
     def records(self) -> list[tuple[str, int, float]]:
         """Sorted (key, action, value) text records for diff-able dumps."""
@@ -91,42 +84,33 @@ class QFunction:
 
 
 class TabularQ(QFunction):
-    """Exact Q-table over hashable state keys; unseen entries read ``initial``.
+    """Exact Q-table over hashable state keys; unseen entries read 0.0.
 
     Stored as ``{state: (row, written)}``: ``row`` holds every action's
-    value, ``initial`` where never written, and ``written`` flags the
-    actions that were written (or loaded). Records and ``len()`` see only
-    the flagged entries, so a dump lists exactly what was written.
-    ``row`` returns a copy of the stored row; ``best_value`` and ``ties``
-    read it in place."""
+    value, 0.0 where never written, and ``written`` flags the actions that
+    were written (or loaded). Records see only the flagged entries, so a
+    dump lists exactly what was written."""
 
     kind = "tabular"
 
-    def __init__(self, n_actions: int, initial: float = 0.0):
+    def __init__(self, n_actions: int):
         self.n_actions = n_actions
-        self.initial = initial
         self._table: dict[Hashable, tuple[list[float], list[bool]]] = {}
 
     def _entry(self, state: Hashable) -> tuple[list[float], list[bool]]:
         entry = self._table.get(state)
         if entry is None:
             n = self.n_actions
-            entry = self._table[state] = ([self.initial] * n, [False] * n)
+            entry = self._table[state] = ([0.0] * n, [False] * n)
         return entry
 
     def value(self, state: Hashable, action_id: int) -> float:
         entry = self._table.get(state)
-        return self.initial if entry is None else entry[0][action_id]
-
-    def row(self, state: Hashable) -> list[float]:
-        entry = self._table.get(state)
-        if entry is None:
-            return [self.initial] * self.n_actions
-        return entry[0][:]
+        return 0.0 if entry is None else entry[0][action_id]
 
     def best_value(self, state: Hashable) -> float:
         entry = self._table.get(state)
-        return self.initial if entry is None else max(entry[0])
+        return 0.0 if entry is None else max(entry[0])
 
     def ties(self, state: Hashable) -> tuple[int, ...]:
         entry = self._table.get(state)
@@ -140,9 +124,6 @@ class TabularQ(QFunction):
         row[action_id] = old + lr * (target - old)
         written[action_id] = True
         return old
-
-    def __len__(self) -> int:
-        return sum(sum(written) for _, written in self._table.values())
 
     def records(self) -> list[tuple[str, int, float]]:
         rows = []
@@ -175,8 +156,8 @@ class LinearQ(QFunction):
     a getter of their weights and, filled as ``ties`` finds each id best,
     that id's positions in the ids, which never change. So ``feature_ids``
     must be pure and its rows immutable; it runs once per distinct state.
-    Weights are never cached. A row is one gather from the flat list;
-    ``best_value`` is the maximum of the distinct weights, as in the row.
+    Weights are never cached; ``best_value`` is the maximum of the
+    distinct weights.
     """
 
     kind = "linear"
@@ -184,7 +165,7 @@ class LinearQ(QFunction):
     def __init__(self, features):
         self.n_actions = features.n_actions
         self.features = features
-        # id -> every written (or loaded) weight: the source of records() and len().
+        # id -> every written (or loaded) weight: the source of records().
         self._raw: dict[int, float] = {}
         # _flat[id] is 0.0 + the id's weight; grown to len(feature_keys) lazily.
         self._flat: list[float] = []
@@ -212,22 +193,21 @@ class LinearQ(QFunction):
     def value(self, state: Hashable, action_id: int) -> float:
         return self._flat[self._entry(state)[0][action_id]]
 
-    def row(self, state: Hashable) -> list[float]:
-        return list(itemgetter(*self._entry(state)[0])(self._flat))
-
     def best_value(self, state: Hashable) -> float:
         return max(self._entry(state)[2](self._flat))
 
     def ties(self, state: Hashable) -> tuple[int, ...]:
         """The positions of the one id holding the best weight, since
-        actions sharing an id share its weight; a row scan when several
-        ids hold it. An id's positions in a state's ids never change, so
-        each is found the first time that id is best and kept."""
+        actions sharing an id share its weight; when several ids hold it,
+        the positions of all of them. An id's positions in a state's ids
+        never change, so each is found the first time that id is best and
+        kept."""
         ids, distinct, get, positions = self._entry(state)
-        weights = get(self._flat)
+        flat = self._flat
+        weights = get(flat)
         best = max(weights)
         if weights.count(best) > 1:
-            return QFunction.ties(self, state)
+            return tuple([a for a, i in enumerate(ids) if flat[i] == best])
         i = distinct[weights.index(best)]
         tied = positions.get(i)
         if tied is None:
@@ -241,9 +221,6 @@ class LinearQ(QFunction):
         weight = self._raw[i] = self._raw.get(i, 0.0) + lr * (target - old)
         flat[i] = 0.0 + weight
         return old
-
-    def __len__(self) -> int:
-        return len(self._raw)
 
     def records(self) -> list[tuple[str, int, float]]:
         # Feature keys play the role of the state key; the action column is
@@ -274,7 +251,7 @@ def _parse_key(text: str) -> Hashable:
 
 def dump_qfunction(q: QFunction, header_fields: dict[str, str]) -> str:
     """Serialize a Q-function as sorted text records with a header line."""
-    fields = {"kind": getattr(q, "kind", "tabular"), "n_actions": str(q.n_actions)}
+    fields = {"kind": q.kind, "n_actions": str(q.n_actions)}
     fields.update(header_fields)
     header = "# q " + " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
     lines = [header]

@@ -239,12 +239,6 @@ class ReplayBuffer:
             prev = cum[-1] if cum else 0.0
             cum.append(prev + (len(cum) + 1) ** (-self.per_exponent))
 
-    def rank_probabilities(self, n: int) -> list[float]:
-        """The exact mass function sample() draws ranks from for a list of size n."""
-        weights = [(r + 1) ** (-self.per_exponent) for r in range(n)]
-        total = sum(weights)
-        return [w / total for w in weights]
-
     # -- internals --------------------------------------------------------
 
     def _rank_lists(self, e: Experience) -> tuple[tuple[array, array], tuple[array, array]]:

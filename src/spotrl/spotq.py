@@ -52,18 +52,18 @@ def masked_ties(q: QFunction, state: Hashable, mask: ActionMask) -> tuple[int, .
     draw-free.
 
     When the mask allows one of ``q.ties``, the best allowed value is the
-    state's best, so the allowed maximizers are the answer and the row is
-    scanned only when it allows none of them.
+    state's best, so the allowed maximizers are the answer. Only when it
+    allows none of them is each allowed action's ``q.value`` read.
     """
     if True not in mask:
         raise EmptyActionSpaceError("empty dynamic action space")
     allowed = tuple([a for a in q.ties(state) if mask[a]])
     if allowed:
         return allowed
-    values = q.row(state)
     actions = [a for a, ok in enumerate(mask) if ok]
-    best = max(values[a] for a in actions)
-    return tuple(a for a in actions if values[a] == best)
+    values = [q.value(state, a) for a in actions]
+    best = max(values)
+    return tuple([a for a, v in zip(actions, values) if v == best])
 
 
 def masked_argmax(q: QFunction, state: Hashable, mask: Optional[ActionMask],

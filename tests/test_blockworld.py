@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spotrl.envs.blockworld import TASKS, BlockWorld, max_row_free_singletons
-from spotrl.qfunction import LinearQ
 
 from oracles import (
     ScriptedRandom,
@@ -802,22 +801,6 @@ def test_walks_cover_every_feature_case():
               for s in walk_states(task, seed, 60)[1]]
     rels = ("empty", "below", "lone_max", "tied_max")
     assert feature_cases(states) == {(held, rel) for held in (0, 1) for rel in rels}
-
-
-@given(**WALKS, data=st.data())
-def test_block_q_row_matches_value_bitwise(task, seed, steps, data):
-    """After updates on visited states, and with some weights loaded as
-    -0.0, each row entry is the very float value() returns."""
-    env, states = walk_states(task, seed, steps)
-    q = LinearQ(env)
-    for state in states:
-        action = data.draw(st.integers(0, env.n_actions - 1))
-        q.update(state, action, data.draw(st.floats(-4, 4)), data.draw(st.floats(0, 1)))
-    for i in data.draw(st.lists(st.sampled_from(env.feature_ids(states[-1])), max_size=5)):
-        q.load_records([(repr(env.feature_keys[i]), -1, -0.0)])
-    for state in states:
-        assert [repr(v) for v in q.row(state)] == \
-            [repr(q.value(state, a)) for a in range(env.n_actions)]
 
 
 @given(**WALKS)

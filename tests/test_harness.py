@@ -77,9 +77,19 @@ def test_parse_config_text():
     }
 
 
-def test_parse_config_text_rejects_bare_words():
+def test_parse_config_text_rejects_bare_words(tmp_path, capsys):
+    """A bare word and a key set twice are errors naming the line; a
+    config file holding either makes the command exit 2."""
     with pytest.raises(ConfigError):
         harness.parse_config_text("env blockworld")
+    text = "budget = 100\n# again\nbudget = 200\n"
+    with pytest.raises(ConfigError, match="line 3: key 'budget' is already set"):
+        harness.parse_config_text(text)
+    (tmp_path / "twice.conf").write_text(text)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(tmp_path / "twice.conf"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 3: key 'budget'")
+    assert not out.exists()
 
 
 # -- run-config resolution --------------------------------------------------

@@ -9,7 +9,6 @@ from spotrl import harness
 from spotrl.envs.blockworld import TASKS, BlockWorld
 from spotrl.qfunction import (
     LinearQ,
-    QFunction,
     TabularQ,
     dump_qfunction,
     parse_qdump,
@@ -36,6 +35,17 @@ def lone_keys(state):
     return [("bias",), ("state", state), ("state", state), ("act", state)]
 
 
+def values_of(q, state):
+    """Every action's value at ``state``, one ``value`` read each: the row
+    the scans below pick from."""
+    return [q.value(state, a) for a in range(q.n_actions)]
+
+
+def scan_ties(values):
+    """Every position holding the row's maximum, ascending."""
+    return tuple(a for a, v in enumerate(values) if v == max(values))
+
+
 # -- tabular ----------------------------------------------------------------
 
 
@@ -47,15 +57,7 @@ def test_tabular_defaults_and_blend():
     q.update("s", 0, 1.0, 0.5)
     assert q.value("s", 0) == 0.75
     assert q.value("s", 1) == 0.0
-    assert len(q) == 1
-
-
-def test_tabular_initial_value():
-    q = TabularQ(2, initial=0.4)
-    assert q.value("anywhere", 1) == 0.4
-    assert q.best_value("anywhere") == 0.4
-    q.update("s", 0, 1.0, 0.5)  # blends from the initial value
-    assert q.value("s", 0) == 0.7
+    assert len(q.records()) == 1
 
 
 def test_best_value_scans_all_actions():
@@ -78,7 +80,7 @@ TABLE_UPDATES = st.lists(st.tuples(st.sampled_from(TABLE_STATES), st.integers(0,
                                    st.floats(-4, 4), st.floats(0, 1)), max_size=40)
 
 
-def flat_table(updates, initial):
+def flat_table(updates):
     """The same updates applied to one flat {(state, action): value} dict;
     an update whose lr is None loads its target as the value."""
     table = {}
@@ -86,25 +88,24 @@ def flat_table(updates, initial):
         if lr is None:
             table[(state, action)] = target
             continue
-        old = table.get((state, action), initial)
+        old = table.get((state, action), 0.0)
         table[(state, action)] = old + lr * (target - old)
     return table
 
 
-@given(updates=TABLE_UPDATES, initial=st.sampled_from((0.0, -0.0, 0.4)))
-def test_tabular_stores_exactly_the_written_entries(updates, initial):
+@given(updates=TABLE_UPDATES)
+def test_tabular_stores_exactly_the_written_entries(updates):
     """Per-state storage holds what a flat (state, action) table holds:
-    the same records in the same order, no entry for an action never
-    written at a written state, and len() counts written entries."""
-    q = TabularQ(4, initial=initial)
+    the same records in the same order, and no entry for an action never
+    written at a written state."""
+    q = TabularQ(4)
     for update in updates:
         q.update(*update)
-    flat = flat_table(updates, initial)
+    flat = flat_table(updates)
     expected = sorted(((repr(s), a, v) for (s, a), v in flat.items()),
                       key=lambda r: (r[0], r[1]))
     assert [(k, a, repr(v)) for k, a, v in q.records()] == \
         [(k, a, repr(v)) for k, a, v in expected]
-    assert len(q) == len(flat)
 
 
 # An update (state, action, target, lr), or a load (state, action, value, None).
@@ -116,47 +117,39 @@ TABLE_OPS = st.lists(
     max_size=40)
 
 
-@given(ops=TABLE_OPS, initial=st.sampled_from((0.0, -0.0, 0.4)))
-def test_tabular_reads_match_the_flat_table(ops, initial):
-    """row, value and best_value read what a flat (state, action) table
-    holds, float for float: unwritten actions at written states and unseen
-    states read ``initial``, -0.0 included; loads and updates mix."""
-    q = TabularQ(4, initial=initial)
+@given(ops=TABLE_OPS)
+def test_tabular_reads_match_the_flat_table(ops):
+    """value and best_value read what a flat (state, action) table holds,
+    float for float: unwritten actions at written states and unseen states
+    read 0.0, loaded -0.0 entries read -0.0; loads and updates mix."""
+    q = TabularQ(4)
     for state, action, x, lr in ops:
         if lr is None:
             q.load_records([(repr(state), action, x)])
         else:
             q.update(state, action, x, lr)
-    flat = flat_table(ops, initial)
+    flat = flat_table(ops)
     for state in TABLE_STATES + ("unseen",):
-        expected = [flat.get((state, a), initial) for a in range(4)]
-        assert repr(q.row(state)) == repr(expected)
+        expected = [flat.get((state, a), 0.0) for a in range(4)]
         assert [repr(q.value(state, a)) for a in range(4)] == list(map(repr, expected))
         assert repr(q.best_value(state)) == repr(max(expected))
-    assert len(q) == len(flat)
-
-
-def test_tabular_row_is_a_copy():
-    q = TabularQ(2)
-    q.update("s", 0, 1.0, 1.0)
-    q.row("s")[0] = 5.0
-    q.row("unseen")[1] = 5.0
-    assert q.row("s") == [1.0, 0.0] and q.row("unseen") == [0.0, 0.0]
+    assert len(q.records()) == len(flat)
 
 
 @given(updates=TABLE_UPDATES)
 def test_tabular_dump_reloads_every_row(updates):
-    """dump -> parse_qdump -> load_records gives back the same row, float
-    for float, for every state, written or not."""
+    """dump -> parse_qdump -> load_records gives back the same values,
+    float for float, at every state, written or not."""
     q = TabularQ(4)
     for update in updates:
         q.update(*update)
     _, rows = parse_qdump(dump_qfunction(q, {}))
     restored = TabularQ(4)
     restored.load_records(rows)
-    assert len(restored) == len(q)
+    assert len(restored.records()) == len(q.records())
     for state in TABLE_STATES + ("unseen",):
-        assert [repr(v) for v in restored.row(state)] == [repr(v) for v in q.row(state)]
+        assert [repr(v) for v in values_of(restored, state)] == \
+            [repr(v) for v in values_of(q, state)]
 
 
 # -- linear -----------------------------------------------------------------
@@ -178,16 +171,16 @@ def test_linear_records_use_feature_keys():
 
 
 def test_linear_len_counts_the_written_ids():
-    """len counts the feature ids holding a written weight: reads add none,
-    a rewrite adds none, and a reload counts what was dumped."""
+    """The records count the feature ids holding a written weight: reads
+    add none, a rewrite adds none, and a reload counts what was dumped."""
     q = LinearQ(KeyFeatures(2, joint_keys))
-    assert q.row("s") == [0.0, 0.0] and len(q) == 0
+    assert values_of(q, "s") == [0.0, 0.0] and len(q.records()) == 0
     for state, action, target in [("s", 1, 0.5), ("s", 1, 0.2), ("t", 0, 1.0)]:
         q.update(state, action, target, 1.0)
-    assert len(q) == 2
+    assert len(q.records()) == 2
     restored = LinearQ(KeyFeatures(2, joint_keys))
     restored.load_records(parse_qdump(dump_qfunction(q, {}))[1])
-    assert len(restored) == 2
+    assert len(restored.records()) == 2
 
 
 def test_linear_featurizes_each_state_once():
@@ -202,23 +195,22 @@ def test_linear_featurizes_each_state_once():
         return joint_keys(state)
 
     q = LinearQ(KeyFeatures(2, keys))
-    assert q.row("s") == [0.0, 0.0]
+    assert values_of(q, "s") == [0.0, 0.0]
     q.update("s", 1, 1.0, 0.5)
-    assert q.row("s") == [0.0, 0.5]
-    assert q.value("s", 1) == 0.5
-    assert q.row("t") == [0.0, 0.0]
+    assert values_of(q, "s") == [0.0, 0.5]
+    assert values_of(q, "t") == [0.0, 0.0]
     q.update("t", 0, -1.0, 1.0)
     assert q.value("t", 0) == -1.0
-    assert q.row("s") == [0.0, 0.5]
+    assert values_of(q, "s") == [0.0, 0.5]
     assert seen == ["s", "t"]
     for state in ("u", "v", "w", "x", "y", "s", "u", "t", "y", "s"):
-        q.row(state)
+        values_of(q, state)
         q.best_value(state)
         q.ties(state)
     assert seen == ["s", "t", "u", "v", "w", "x", "y"]
     q.update("s", 1, 1.0, 0.5)
-    assert q.row("s") == [0.0, 0.75] and q.best_value("s") == 0.75
-    assert q.value("t", 0) == -1.0 and q.row("x") == [0.0, 0.0]
+    assert values_of(q, "s") == [0.0, 0.75] and q.best_value("s") == 0.75
+    assert q.value("t", 0) == -1.0 and values_of(q, "x") == [0.0, 0.0]
     assert seen == ["s", "t", "u", "v", "w", "x", "y"]
 
 
@@ -245,7 +237,7 @@ def test_block_run_featurizes_each_state_once():
         return read
 
     q.features.feature_ids = counting_feature_ids
-    for name in ("row", "value", "best_value", "ties", "update"):
+    for name in ("value", "best_value", "ties", "update"):
         setattr(q, name, reading(getattr(q, name)))
     run_training(rc.make_env, rc.agent_config(), q=q)
     assert len(featurized) == len(set(reads)) > 4
@@ -255,6 +247,8 @@ def test_block_run_featurizes_each_state_once():
 
 MEMO_CASES = {
     "lone": (3, lambda state: [("bias",), ("state", state % 4), ("act", state)]),
+    # One action, so every state has a single id.
+    "one-action": (1, lambda state: [("state", state % 4)]),
 }
 MEMO_OPS = st.lists(st.one_of(
     st.tuples(st.just("row"), st.integers(0, 7)),
@@ -270,14 +264,15 @@ MEMO_OPS = st.lists(st.one_of(
 def test_linear_matches_the_plain_reference(case, ops):
     """Through eight states, each revisited, with updates and -0.0 weights
     loaded in between (keys loaded before any read gave them an id too),
-    every row, value and update return is the float a LinearQ without the
-    per-state id memo or ids gives."""
+    every row of value reads, value and update return is the float a
+    LinearQ without the per-state id memo or ids gives."""
     n_actions, keys = MEMO_CASES[case]
     space = KeyFeatures(n_actions, keys)
     q, ref = LinearQ(space), PlainLinearQ(n_actions, space.featurize)
     for op, state, *args in ops:
         if op == "row":
-            assert [repr(v) for v in q.row(state)] == [repr(v) for v in ref.row(state)]
+            assert [repr(v) for v in values_of(q, state)] == \
+                [repr(v) for v in ref.row(state)]
             continue
         action = args[0] % n_actions
         if op == "value":
@@ -292,7 +287,7 @@ def test_linear_matches_the_plain_reference(case, ops):
     assert [(k, a, repr(w)) for k, a, w in q.records()] == \
         sorted((repr(f), -1, repr(w)) for f, w in ref.weights.items())
     for state in range(8):
-        assert [repr(v) for v in q.row(state)] == [repr(v) for v in ref.row(state)]
+        assert [repr(v) for v in values_of(q, state)] == [repr(v) for v in ref.row(state)]
 
 
 # Synthetic block states whose signatures a short walk rarely reaches first:
@@ -307,7 +302,7 @@ UNBUILT = st.tuples(st.integers(0, 1), st.sampled_from([
 def test_block_linear_q_matches_the_plain_reference(task, seed, data):
     """On a random walk over allowed block-world actions, LinearQ over one
     env's feature ids and PlainLinearQ over block_feature_key agree at every
-    step: value, row, best_value and update returns, records, and ties and
+    step: value, best_value and update returns, records, and ties and
     the unmasked pick against a scan of the plain row, with -0.0 weights
     loaded for visited keys and for keys no signature table holds yet."""
     walker, owner = BlockWorld(task=task), BlockWorld(task=task)
@@ -327,8 +322,8 @@ def test_block_linear_q_matches_the_plain_reference(task, seed, data):
         op = data.draw(st.sampled_from(["read", "update", "zero", "zero-unbuilt"]))
         action = data.draw(st.integers(0, owner.n_actions - 1))
         if op == "read":
-            assert [repr(v) for v in q.row(state)] == [repr(v) for v in ref.row(state)]
-            assert repr(q.value(state, action)) == repr(ref.value(state, action))
+            assert [repr(v) for v in values_of(q, state)] == \
+                [repr(v) for v in ref.row(state)]
             assert repr(q.best_value(state)) == repr(max(ref.row(state)))
         elif op == "update":
             target, lr = data.draw(st.floats(-4, 4)), data.draw(st.floats(0, 1))
@@ -354,26 +349,25 @@ def test_block_linear_q_matches_the_plain_reference(task, seed, data):
 
 def assert_greedy_matches_the_scan(q, state, seed, scanned=None):
     """masked_argmax with no mask picks the action a plain scan of
-    ``scanned``'s row (q's own by default) picks, and leaves the tie stream
-    in the same state, and q.ties is the scan's tie list; a unique
-    maximizer draws nothing."""
-    scanned = q if scanned is None else scanned
-    values = scanned.row(state)
+    ``scanned``'s row (q's own value reads by default) picks, and leaves
+    the tie stream in the same state, and q.ties is the scan's tie list; a
+    unique maximizer draws nothing."""
+    values = values_of(q, state) if scanned is None else scanned.row(state)
     rng = random.Random(seed)
     expected = (scan_pick(values, None, rng), rng.getstate())
     rng = random.Random(seed)
     assert (masked_argmax(q, state, None, rng), rng.getstate()) == expected
-    assert q.ties(state) == tuple(a for a, v in enumerate(values) if v == max(values))
+    assert q.ties(state) == scan_ties(values)
     if values.count(max(values)) == 1:
         assert masked_argmax(q, state, None, ForbiddenRandom()) == expected[0]
 
 
-@given(ops=TABLE_OPS, initial=st.sampled_from((0.0, -0.0)), seed=st.integers(0, 2**16))
-def test_tabular_greedy_matches_the_scan(ops, initial, seed):
+@given(ops=TABLE_OPS, seed=st.integers(0, 2**16))
+def test_tabular_greedy_matches_the_scan(ops, seed):
     """TabularQ.ties reads the stored row in place, and the unmasked pick
     picks and draws as the all-true scan does, at written and unseen
     states, -0.0 included."""
-    q = TabularQ(4, initial=initial)
+    q = TabularQ(4)
     for state, action, x, lr in ops:
         if lr is None:
             q.load_records([(repr(state), action, x)])
@@ -416,7 +410,7 @@ def test_linear_greedy_matches_the_scan(case, ops, seed):
         assert_greedy_matches_the_scan(q, state, seed)
     for state in range(6):
         assert_greedy_matches_the_scan(q, state, seed)
-        assert repr(q.best_value(state)) == repr(max(q.row(state)))
+        assert repr(q.best_value(state)) == repr(max(values_of(q, state)))
 
 
 # Three ids of one state, each at several positions, and none side by side.
@@ -429,15 +423,15 @@ MOVING_OPS = st.lists(st.tuples(st.integers(0, 7), st.sampled_from((0.0, -0.0, 0
 def test_linear_ties_follow_the_best_id(ops):
     """As updates and loads (-0.0 included) move the best weight from one
     id of a state to another, and back, the kept positions are always those
-    of the id best now: ties equals the row scan after every step, several
-    ids tied included."""
+    of the id best now: ties equals the scan of the value reads after every
+    step, several ids tied included."""
     q = LinearQ(KeyFeatures(len(MOVING_KEYS), lambda s: MOVING_KEYS))
     for action, x, lr in ops:
         if lr is None:
             q.load_records([(repr(MOVING_KEYS[action]), -1, x)])
         else:
             q.update("s", action, x, lr)
-        assert q.ties("s") == QFunction.ties(q, "s")
+        assert q.ties("s") == scan_ties(values_of(q, "s"))
 
 
 # -- masked picks and the policy flag -----------------------------------------
@@ -464,7 +458,7 @@ def assert_masked_reads_match_the_scan(q, state, bits, seed):
     draws as a plain scan of the row does (or finds nothing allowed),
     masked_ties lists what the scan ties over, and masked_policy_flag is the
     scanned flag."""
-    values = q.row(state)
+    values = values_of(q, state)
     for mask in masks_around_the_best(values, bits):
         rng, scanned = random.Random(seed), random.Random(seed)
         expected = scan_pick(values, mask, scanned)
@@ -478,19 +472,17 @@ def assert_masked_reads_match_the_scan(q, state, bits, seed):
         assert masked_ties(q, state, mask) == \
             tuple(a for a, ok in enumerate(mask) if ok and values[a] == best)
         assert masked_policy_flag(q, state, mask) == scan_flag(values, mask)
-    best = max(values)
-    assert q.ties(state) == tuple(a for a, v in enumerate(values) if v == best)
+    assert q.ties(state) == scan_ties(values)
 
 
 MASK_BITS = st.lists(st.booleans(), min_size=6, max_size=6)
 
 
-@given(ops=TABLE_OPS, initial=st.sampled_from((0.0, -0.0)), bits=MASK_BITS,
-       seed=st.integers(0, 2**16))
-def test_tabular_masked_reads_match_the_scan(ops, initial, bits, seed):
+@given(ops=TABLE_OPS, bits=MASK_BITS, seed=st.integers(0, 2**16))
+def test_tabular_masked_reads_match_the_scan(ops, bits, seed):
     """TabularQ's ties, masked picks, tie lists and flags are the plain
     scan's, at unseen states and with -0.0 and 0.0 side by side."""
-    q = TabularQ(4, initial=initial)
+    q = TabularQ(4)
     assert q.ties("s") == (0, 1, 2, 3)
     for state, action, x, lr in ops:
         if lr is None:
@@ -522,7 +514,7 @@ def test_linear_masked_reads_match_the_scan(case, ops, bits, seed):
         assert_masked_reads_match_the_scan(q, state, bits, seed)
 
 
-# -- rows -------------------------------------------------------------------
+# -- updates ----------------------------------------------------------------
 
 STATES = ("s", "t", "u")
 
@@ -535,34 +527,13 @@ def negative_zero_linear(q, state, action):
     q.load_records([(repr(lone_keys(state)[action]), -1, -0.0)])
 
 
-ROW_CASES = {
+UPDATE_CASES = {
     "tabular": (lambda: TabularQ(4), negative_zero_tabular),
-    "tabular-initial": (lambda: TabularQ(4, initial=-0.0), negative_zero_tabular),
     "linear-one-feature": (lambda: LinearQ(KeyFeatures(4, lone_keys)), negative_zero_linear),
 }
 
 
-@pytest.mark.parametrize("case", sorted(ROW_CASES))
-@given(
-    updates=st.lists(st.tuples(st.sampled_from(STATES), st.integers(0, 3),
-                               st.floats(-4, 4), st.floats(0, 1)), max_size=30),
-    zeros=st.lists(st.tuples(st.sampled_from(STATES), st.integers(0, 3)), max_size=4),
-)
-def test_row_matches_value_bitwise(case, updates, zeros):
-    """row(s) is [value(s, a) for every a], float for float (repr tells
-    -0.0 from 0.0), after updates and with -0.0 entries loaded."""
-    make, negative_zero = ROW_CASES[case]
-    q = make()
-    for state, action, target, lr in updates:
-        q.update(state, action, target, lr)
-    for state, action in zeros:
-        negative_zero(q, state, action)
-    for state in STATES + ("unseen",):
-        assert [repr(v) for v in q.row(state)] == [repr(q.value(state, a)) for a in range(4)]
-    assert q.best_value("s") == max(q.value("s", a) for a in range(4))
-
-
-@pytest.mark.parametrize("case", sorted(ROW_CASES))
+@pytest.mark.parametrize("case", sorted(UPDATE_CASES))
 @given(
     zeros=st.lists(st.tuples(st.sampled_from(STATES), st.integers(0, 3)), max_size=4),
     updates=st.lists(st.tuples(st.sampled_from(STATES), st.integers(0, 3),
@@ -571,7 +542,7 @@ def test_row_matches_value_bitwise(case, updates, zeros):
 def test_update_returns_the_prior_value(case, zeros, updates):
     """update() returns the value it blended from, float for float the one
     value() read just before it (-0.0 entries and unwritten actions too)."""
-    make, negative_zero = ROW_CASES[case]
+    make, negative_zero = UPDATE_CASES[case]
     q = make()
     for state, action in zeros:
         negative_zero(q, state, action)

@@ -230,13 +230,6 @@ def test_finalize_rekeys_surprise():
     assert buf.sample(top, "grasp", True) == 0
 
 
-def test_rank_probabilities_normalized():
-    buf = ReplayBuffer(cfg(), per_exponent=2.0)
-    probs = buf.rank_probabilities(8)
-    assert abs(sum(probs) - 1.0) < 1e-12
-    assert all(a > b for a, b in zip(probs, probs[1:]))
-
-
 @pytest.mark.parametrize("exponent", [2.0, 0.25])
 def test_rank_distribution_matches_power_law(exponent):
     """Empirical rank frequencies over 100k draws stay within total
@@ -255,7 +248,6 @@ def test_rank_distribution_matches_power_law(exponent):
         counts[buf.sample(rng, "grasp", True)] += 1
     tv = 0.5 * sum(abs(c / draws - p) for c, p in zip(counts, exact))
     assert tv <= 0.02
-    assert buf.rank_probabilities(n) == exact
 
 
 # -- eviction ---------------------------------------------------------------
@@ -595,7 +587,7 @@ def shared_keys(state):
 
 def loaded_q(kind, entries):
     """A Q-function loaded from ``entries`` ((state, action) -> value). The
-    tabular kinds hold exactly those entries. The linear kind writes each
+    tabular kind holds exactly those entries. The linear kind writes each
     value to its pair's feature, so entries for actions 0 and 1 (at either
     state) overwrite each other and the last one written is kept."""
     if kind == "linear":
@@ -603,13 +595,13 @@ def loaded_q(kind, entries):
         q.load_records([(repr(shared_keys(state)[a]), -1, v)
                         for (state, a), v in entries.items()])
     else:
-        q = TabularQ(3, initial=-0.0 if kind == "tabular-initial" else 0.0)
+        q = TabularQ(3)
         q.load_records([(repr(state), a, v) for (state, a), v in entries.items()])
     return q
 
 
 @given(
-    kind=st.sampled_from(["tabular", "tabular-initial", "linear"]),
+    kind=st.sampled_from(["tabular", "linear"]),
     entries=st.dictionaries(st.tuples(st.sampled_from(["s", "n"]), st.integers(0, 2)),
                             st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, 1.75]), max_size=6),
     action=st.integers(0, 2),
@@ -622,7 +614,7 @@ def loaded_q(kind, entries):
 @example(kind="linear", entries={("s", 1): 1.0, ("n", 2): 0.25}, action=0, reward=0.5,
          terminal=False, mask=[True, False, True], alpha=0.5)
 # The masked target fires on a tabular row of -0.0 entries and unwritten actions.
-@example(kind="tabular-initial", entries={("s", 0): -0.0, ("s", 2): 0.25}, action=0,
+@example(kind="tabular", entries={("s", 0): -0.0, ("s", 2): 0.25}, action=0,
          reward=-0.0, terminal=True, mask=[True, True, False], alpha=1.0)
 def test_apply_update_matches_the_reference(kind, entries, action, reward, terminal,
                                             mask, alpha):
@@ -664,7 +656,7 @@ TRAIN_STEPS = st.lists(
 
 
 @given(
-    kind=st.sampled_from(["tabular-initial", "linear"]),
+    kind=st.sampled_from(["tabular", "linear"]),
     entries=st.dictionaries(st.tuples(st.sampled_from(["s", "n"]), st.integers(0, 2)),
                             st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, 1.75]), max_size=6),
     reward_kind=st.sampled_from(["base", "progress", "trial_sr", "trial_progress"]),

@@ -443,7 +443,8 @@ def plain_greedy_trial(q, env, use_mask, rng):
     outcomes, completed, event = [], False, None
     while not env.terminal:
         mask = env.mask_for(state) if use_mask else None
-        state, outcome, event = env.step(scan_pick(q.row(state), mask, rng))
+        values = [q.value(state, a) for a in range(env.n_actions)]
+        state, outcome, event = env.step(scan_pick(values, mask, rng))
         outcomes.append(outcome)
         completed = outcome.task_complete
     record = TrialRecord(trial_id=0, actions_taken=len(outcomes), ideal_actions=ideal,

@@ -527,8 +527,17 @@ def negative_zero_linear(q, state, action):
     q.load_records([(repr(lone_keys(state)[action]), -1, -0.0)])
 
 
+def tabular_starting_at_negative_zero():
+    """A TabularQ whose every entry the updates can touch starts at -0.0,
+    so each first update blends from -0.0 rather than the unseen 0.0."""
+    q = TabularQ(4)
+    q.load_records([(repr(state), action, -0.0) for state in STATES for action in range(4)])
+    return q
+
+
 UPDATE_CASES = {
     "tabular": (lambda: TabularQ(4), negative_zero_tabular),
+    "tabular-initial": (tabular_starting_at_negative_zero, negative_zero_tabular),
     "linear-one-feature": (lambda: LinearQ(KeyFeatures(4, lone_keys)), negative_zero_linear),
 }
 
